@@ -23,6 +23,7 @@ from .euler import chi_X, one_cylinder_cusps
 from .exact import check_discriminant, euler_phi, is_square, mobius_weighted_sum
 from .prototypes import (
     Prototype,
+    _spin_applies,
     enumerate_prototypes,
     next_prototype,
     orbifold_order,
@@ -140,10 +141,6 @@ class CuspComplex:
             ],
             "s1s2_points": self.s1s2_points,
         }
-
-
-def _spin_applies(D: int) -> bool:
-    return D % 8 == 1 and D != 9 and D >= 5
 
 
 def build_complex(D: int) -> CuspComplex:

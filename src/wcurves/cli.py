@@ -135,6 +135,8 @@ def _cmd_sv(args) -> int:
 
 def _cmd_hseries(args) -> int:
     rows = euler_mod.h_table(args.dmin, args.dmax)
+    if not rows:
+        raise ValueError(f"no discriminants in [{args.dmin}, {args.dmax}]")
     if args.format == "json":
         text = json.dumps([{"D": D, "h2": str(h)} for D, h in rows], indent=2)
     elif args.format == "text":
@@ -182,6 +184,8 @@ def _cmd_tables(args) -> int:
         raise ValueError("tables needs --sv or --regenerate")
     table2 = [[str(D), _table2_value(D)]
               for D in _discriminants(5, args.dmax) if not is_square(D)]
+    if not table2:
+        raise ValueError(f"no nonsquare discriminants >= 5 up to --dmax {args.dmax}")
     if args.sv:
         _emit(_csv(table2), args.output if not args.regenerate else None)
     if args.regenerate:
@@ -206,6 +210,11 @@ def _parse_shard(text: str) -> tuple[int, int]:
 
 def _cmd_verify(args) -> int:
     reports = verify_mod.verify_range(args.dmin, args.dmax, _parse_shard(args.shard))
+    if not reports:
+        raise ValueError(
+            f"--dmin {args.dmin} --dmax {args.dmax} --shard {args.shard}"
+            " selects no discriminants"
+        )
     lines = []
     totals: dict[str, int] = {}
     failed = 0
@@ -306,7 +315,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

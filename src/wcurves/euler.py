@@ -25,7 +25,7 @@ from .exact import (
     mobius_weighted_sum,
     sigma,
 )
-from .prototypes import enumerate_prototypes
+from .prototypes import _spin_applies, _w_cusps, enumerate_prototypes
 
 __all__ = [
     "ConsistencyCheck",
@@ -106,7 +106,7 @@ def chi_W(D: int) -> Fraction:
 def chi_W_components(D: int) -> tuple[Fraction, Fraction]:
     """(chi of spin 0 part, chi of spin 1 part); needs D = 1 (mod 8), D != 9."""
     check_discriminant(D, minimum=5)
-    if D % 8 != 1 or D == 9:
+    if not _spin_applies(D):
         raise ValueError(f"W is connected for D={D}: no spin components")
     d0, d = decompose_discriminant(D)
     if d0 == 1:
@@ -186,7 +186,7 @@ def num_components(D: int) -> int:
     check_discriminant(D)
     if D < 5:
         return 0
-    return 2 if D % 8 == 1 and D != 9 else 1
+    return 2 if _spin_applies(D) else 1
 
 
 def one_cylinder_cusps(d: int) -> tuple[int, int | None, int | None]:
@@ -276,7 +276,7 @@ def consistency_chain(D: int) -> list[ConsistencyCheck]:
                 "chi_additivity", chi_W(D), chi_P(D) - chi_S(D) - 2 * chi_X(D)
             )
         )
-    if D >= 5 and D % 8 == 1 and D != 9:
+    if _spin_applies(D):
         c0, c1 = chi_W_components(D)
         checks.append(ConsistencyCheck("component_sum", c0 + c1, chi_W(D)))
     if D >= 4:
@@ -346,7 +346,7 @@ def euler_report(D: int) -> EulerReport:
     d0, f = decompose_discriminant(D)
     square = d0 == 1
     d = f if square else 0
-    if D >= 5 and D % 8 == 1 and D != 9:
+    if _spin_applies(D):
         components = chi_W_components(D)
     else:
         components = None
@@ -371,7 +371,7 @@ def euler_report(D: int) -> EulerReport:
         chi_q=chi_Q(D) if D >= 4 else None,
         chi_s=chi_S(D) if square and d >= 2 else None,
         components=num_components(D),
-        cusps_two_cylinder=len(enumerate_prototypes(D, "W")),
+        cusps_two_cylinder=sum(n for *_, n in _w_cusps(D)),
         cusps_one_cylinder=one_cyl,
         cusps_one_cylinder_spin=one_spin,
     )

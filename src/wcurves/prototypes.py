@@ -24,7 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import QuadNum, check_discriminant, decompose_discriminant, is_square
+from .exact import (
+    QuadNum,
+    check_discriminant,
+    decompose_discriminant,
+    euler_phi,
+    is_square,
+)
 
 __all__ = [
     "Prototype",
@@ -147,39 +153,57 @@ def canonical(p: Prototype) -> Prototype:
     return Prototype(p.kind, p.D, a, b, c, p.q)
 
 
-@lru_cache(maxsize=None)
-def _enumerate(D: int, kind: str) -> tuple[Prototype, ...]:
+def _triples(D: int):
+    """Each (a, b, c) with b^2 - 4ac = D, a > 0, c <= 0 and a + b + c <= 0, once.
+
+    The scan runs over b, then over the divisor pairs of -ac = (D - b^2)/4.
+    For square D = d^2 the degenerate triples (a, -d, 0) have 0 < a < d:
+    (d, -d, 0) is both terminal and degenerate, which no kind admits.
+    """
     d = math.isqrt(D)
-    seen = set()
     for b in range(-d, d + 1):
         if (D - b * b) % 4:
             continue
         t = (D - b * b) // 4  # t = -a*c >= 0
         if t == 0:
-            # degenerate: c = 0, b = -d, kind Y only
-            if kind != "Y" or b >= 0 or d == 0:
-                continue
-            for a in range(1, d):
-                triple = _canonical_triple(kind, a, b, 0)
-                m = _kind_modulus(kind, *triple)
-                for q in range(m):
-                    if math.gcd(_gcd3(*triple), q) == 1:
-                        seen.add(triple + (q,))
+            if b < 0:
+                for a in range(1, d):
+                    yield a, b, 0
             continue
-        a = 1
-        while a * a <= t:
+        for a in range(1, math.isqrt(t) + 1):
             if t % a == 0:
-                for aa in {a, t // a}:
+                for aa in (a, t // a) if a * a != t else (a,):
                     c = -(t // aa)
-                    s = aa + b + c
-                    if s > 0 or (s == 0 and kind == "W"):
-                        continue
-                    triple = _canonical_triple(kind, aa, b, c)
-                    m = _kind_modulus(kind, *triple)
-                    for q in range(m):
-                        if math.gcd(_gcd3(*triple), q) == 1:
-                            seen.add(triple + (q,))
-            a += 1
+                    if aa + b + c <= 0:
+                        yield aa, b, c
+
+
+def _w_cusps(D: int):
+    """(a, b, c, n) for each kind W triple, n the number of its residues q.
+
+    The residues are the q mod m = gcd(a, c) coprime to g = gcd(a, b, c),
+    and g divides m, so n = phi(g) * m / g.
+    """
+    for a, b, c in _triples(D):
+        if c < 0 and a + b + c < 0:
+            m = math.gcd(a, c)
+            g = math.gcd(m, b)
+            yield a, b, c, euler_phi(g) * (m // g)
+
+
+@lru_cache(maxsize=None)
+def _enumerate(D: int, kind: str) -> tuple[Prototype, ...]:
+    seen = set()
+    for a, b, c in _triples(D):
+        if (kind != "Y" and c == 0) or (kind == "W" and a + b + c == 0):
+            continue
+        triple = _canonical_triple(kind, a, b, c)
+        g = _gcd3(*triple)
+        seen.update(
+            triple + (q,)
+            for q in range(_kind_modulus(kind, *triple))
+            if math.gcd(g, q) == 1
+        )
     return tuple(
         Prototype(kind, D, *entry) for entry in sorted(seen)
     )
@@ -261,17 +285,41 @@ def orbifold_order(p: Prototype) -> int:
     return a // u
 
 
+def _spin_applies(D: int) -> bool:
+    """Whether W_D splits into two spin components."""
+    return D % 8 == 1 and D != 9 and D >= 5
+
+
+def _spin(a: int, b: int, c: int, q: int, f: int) -> int:
+    """Spin of the W prototype (a, b, c, q) of a discriminant with conductor f."""
+    return ((b - f) // 2 + (a + 1) * (q + c + q * c)) % 2
+
+
+def _spin_split(a: int, b: int, c: int, n: int, f: int) -> tuple[int, int]:
+    """How many of the n residues q of a kind W triple have spin 0 and spin 1.
+
+    Spin depends on q only through its parity, and only when a and c are
+    both even.  Then b is odd (D is odd), so g = gcd(a, b, c) is odd and
+    2g divides m = gcd(a, c); q -> q + g flips parity on the residues
+    coprime to g, so they split evenly.
+    """
+    s = _spin(a, b, c, 0, f)
+    if s == _spin(a, b, c, 1, f):
+        return (n, 0) if s == 0 else (0, n)
+    assert n % 2 == 0
+    return n // 2, n // 2
+
+
 def spin(p: Prototype) -> int:
     """Spin invariant of a kind W prototype, for D = 1 (mod 8), D != 9."""
     if p.kind != "W":
         raise ValueError(f"spin is defined for kind W prototypes, got kind {p.kind}")
-    if p.D % 8 != 1 or p.D == 9:
+    if not _spin_applies(p.D):
         raise ValueError(
             f"spin needs D = 1 (mod 8) and D != 9, got D={p.D}"
         )
     _, f = decompose_discriminant(p.D)
-    a, b, c, q = p.abcq
-    return ((b - f) // 2 + (a + 1) * (q + c + q * c)) % 2
+    return _spin(p.a, p.b, p.c, p.q, f)
 
 
 def y_image(p: Prototype) -> Prototype:

@@ -15,7 +15,7 @@ import mpmath
 
 from .euler import chi_W, chi_W_components
 from .exact import QuadNum, check_discriminant, decompose_discriminant, is_square
-from .prototypes import Prototype, enumerate_prototypes, lambda_of, spin
+from .prototypes import Prototype, _spin_applies, _spin_split, _w_cusps, lambda_of
 
 __all__ = [
     "SvReport",
@@ -40,7 +40,10 @@ def _check_sv_discriminant(D: int) -> None:
 
 
 def v_of_prototype(p: Prototype) -> QuadNum:
-    """Cusp contribution (-c/gcd(a,c)) (1 - (a/c) lambda^2) (1 + 1/lambda^2)."""
+    """Cusp contribution (-c/gcd(a,c)) (1 - (a/c) lambda^2) (1 + 1/lambda^2).
+
+    This QuadNum route is the test oracle for the closed form in _v_sums.
+    """
     if p.kind != "W":
         raise ValueError(f"expected a kind W prototype, got kind {p.kind}")
     _check_sv_discriminant(p.D)
@@ -52,39 +55,63 @@ def v_of_prototype(p: Prototype) -> QuadNum:
     return out
 
 
+def _v_sums(D: int) -> tuple[QuadNum, QuadNum]:
+    """Sums of v over the W cusps of spin 0 and of spin 1.
+
+    v depends on the triple (a, b, c) only:
+    v = (D(a - c) + b(a + c) sqrt(D)) / (2|ac| gcd(a, c)), weighted by the
+    number of residues q of the triple.  Outside the split regime every
+    cusp counts toward the first sum.
+    """
+    split = _spin_applies(D)
+    f = decompose_discriminant(D)[1] if split else 0
+    rat = [Fraction(0), Fraction(0)]
+    rad = [Fraction(0), Fraction(0)]
+    for a, b, c, n in _w_cusps(D):
+        x, y = D * (a - c), b * (a + c)
+        # x > 0, so x + y sqrt(D) > 0 unless y < 0 and y^2 D >= x^2
+        assert y >= 0 or D * (a - c) ** 2 > y * y
+        den = -2 * a * c * math.gcd(a, c)
+        for eps, k in enumerate(_spin_split(a, b, c, n, f) if split else (n, 0)):
+            if k:
+                rat[eps] += Fraction(k * x, den)
+                rad[eps] += Fraction(k * y, den)
+    return QuadNum(D, rat[0], rad[0]), QuadNum(D, rat[1], rad[1])
+
+
+def _constants(D: int) -> tuple[QuadNum, tuple[QuadNum, QuadNum] | None, QuadNum]:
+    """(c, (c0, c1) or None, billiards constant) from one pass over the W cusps.
+
+    For split D = 1 (mod 8) the component of the unfolded right triangle
+    selects the spin ((1 + f) / 2) mod 2 constant.
+    """
+    _check_sv_discriminant(D)
+    s0, s1 = _v_sums(D)
+    constant = (s0 + s1) / (-2 * chi_W(D))
+    if not _spin_applies(D):
+        return constant, None, constant
+    chi0, chi1 = chi_W_components(D)
+    components = (s0 / (-2 * chi0), s1 / (-2 * chi1))
+    _, f = decompose_discriminant(D)
+    return constant, components, components[((1 + f) // 2) % 2]
+
+
 def sv_constant(D: int) -> QuadNum:
     """Siegel-Veech constant of the full W locus of discriminant D."""
-    _check_sv_discriminant(D)
-    total = QuadNum(D)
-    for p in enumerate_prototypes(D, "W"):
-        total = total + v_of_prototype(p)
-    return total / (-2 * chi_W(D))
+    return _constants(D)[0]
 
 
 def sv_constant_components(D: int) -> tuple[QuadNum, QuadNum]:
     """(c for spin 0, c for spin 1); needs nonsquare D = 1 (mod 8), D != 9."""
     _check_sv_discriminant(D)
-    if D % 8 != 1:
+    if not _spin_applies(D):
         raise ValueError(f"W is connected for D={D}: no per-component constants")
-    chi0, chi1 = chi_W_components(D)
-    sums = {0: QuadNum(D), 1: QuadNum(D)}
-    for p in enumerate_prototypes(D, "W"):
-        sums[spin(p)] = sums[spin(p)] + v_of_prototype(p)
-    return (sums[0] / (-2 * chi0), sums[1] / (-2 * chi1))
+    return _constants(D)[1]
 
 
 def billiards_constant(D: int) -> QuadNum:
-    """The constant attached to the right triangle unfolding of discriminant D.
-
-    For split D = 1 (mod 8) the component of the unfolded surface selects
-    the spin ((1 + f) / 2) mod 2 constant.
-    """
-    _check_sv_discriminant(D)
-    if D % 8 != 1:
-        return sv_constant(D)
-    _, f = decompose_discriminant(D)
-    eps = ((1 + f) // 2) % 2
-    return sv_constant_components(D)[eps]
+    """The constant attached to the right triangle unfolding of discriminant D."""
+    return _constants(D)[2]
 
 
 def unfolding_prototype(D: int) -> Prototype:
@@ -109,13 +136,17 @@ def _real1(x: QuadNum) -> mpmath.mpf:
     return out
 
 
-def billiards_coefficient(D: int, digits: int = 50) -> str:
-    """Decimal value of billiards_constant(D) * pi / unfolding_area(D)."""
-    c = billiards_constant(D)
-    area = unfolding_area(D)
+def _coefficient(c: QuadNum, area: QuadNum, digits: int) -> str:
+    if digits < 1:
+        raise ValueError(f"need at least 1 significant digit, got digits={digits}")
     with mpmath.workdps(digits + 15):
         val = _real1(c) * mpmath.pi / _real1(area)
         return mpmath.nstr(val, digits, strip_zeros=False)
+
+
+def billiards_coefficient(D: int, digits: int = 50) -> str:
+    """Decimal value of billiards_constant(D) * pi / unfolding_area(D)."""
+    return _coefficient(billiards_constant(D), unfolding_area(D), digits)
 
 
 @dataclass(frozen=True)
@@ -142,13 +173,13 @@ class SvReport:
 
 
 def sv_report(D: int, digits: int = 50) -> SvReport:
-    _check_sv_discriminant(D)
-    split = D % 8 == 1
+    constant, components, billiards = _constants(D)
+    area = unfolding_area(D)
     return SvReport(
         D=D,
-        constant=sv_constant(D),
-        components=sv_constant_components(D) if split else None,
-        billiards=billiards_constant(D),
-        area=unfolding_area(D),
-        coefficient=billiards_coefficient(D, digits),
+        constant=constant,
+        components=components,
+        billiards=billiards,
+        area=area,
+        coefficient=_coefficient(billiards, area, digits),
     )

@@ -14,6 +14,8 @@ from fractions import Fraction
 from . import boundary, euler, reference, siegelveech
 from .exact import is_discriminant, is_square
 from .prototypes import (
+    _spin,
+    _spin_applies,
     canonical,
     enumerate_prototypes,
     from_splitting_prototype,
@@ -56,10 +58,6 @@ class _Rec:
             self.tally[name] = self.tally.get(name, 0) + 1
         else:
             self.failures.append(f"{name}: {detail}" if detail else name)
-
-
-def _spin_applies(D: int) -> bool:
-    return D % 8 == 1 and D != 9 and D >= 5
 
 
 def _check_enumeration(D: int, rec: _Rec) -> None:
@@ -132,13 +130,12 @@ def _check_fibers(D: int, rec: _Rec) -> None:
         back = from_splitting_prototype(*to_splitting_prototype(w))
         rec.check("splitting_round_trip", back == w, str(w))
     if _spin_applies(D):
+        _, f = euler.decompose_discriminant(D)
         for w in ws:
             base = spin(w)
             m = w.modulus
             stable = all(
-                ((w.b - euler.decompose_discriminant(w.D)[1]) // 2
-                 + (w.a + 1) * (q + w.c + q * w.c)) % 2 == base
-                for q in (w.q + m, w.q + 2 * m)
+                _spin(w.a, w.b, w.c, q, f) == base for q in (w.q + m, w.q + 2 * m)
             )
             rec.check("spin_lift_stable", stable, str(w))
 

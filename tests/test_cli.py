@@ -168,3 +168,45 @@ def test_output_flag_writes_file(tmp_path, capsys):
     capsys.readouterr()
     lines = target.read_text().strip().splitlines()
     assert len(lines) == 40
+
+
+def test_sv_rejects_nonpositive_digits(capsys):
+    for digits in ("0", "-3"):
+        assert main(["sv", "--d", "17", "--digits", digits]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "digit" in captured.err
+
+
+def test_verify_empty_range_is_an_error(capsys):
+    assert main(["verify", "--dmin", "5", "--dmax", "4"]) == 1
+    captured = capsys.readouterr()
+    assert "verified" not in captured.out
+    assert "error:" in captured.err and "selects no discriminants" in captured.err
+
+
+def test_verify_empty_shard_is_an_error(capsys):
+    assert main(["verify", "--dmin", "5", "--dmax", "5", "--shard", "1/2"]) == 1
+    assert "selects no discriminants" in capsys.readouterr().err
+
+
+def test_tables_sv_empty_range_is_an_error(capsys):
+    assert main(["tables", "--sv", "--dmax", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "--dmax 3" in captured.err
+
+
+def test_hseries_empty_range_is_an_error(capsys):
+    assert main(["hseries", "--dmin", "5", "--dmax", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "no discriminants" in captured.err
+
+
+def test_unwritable_output_is_an_error_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    assert main(["euler", "--d", "5", "--output", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "No such file" in err
+    assert "Traceback" not in err

@@ -21,6 +21,7 @@ from wcurves.euler import (
     rm_prototypes,
     zeta_minus_one,
 )
+from wcurves.prototypes import enumerate_prototypes
 
 
 def test_h2_low_values():
@@ -192,6 +193,13 @@ def test_euler_report_nonsquare():
     assert j["chi_W0"] is None
     assert j["h2"] == "-62/5"
     assert j["cusps_two_cyl"] == 8
+
+
+def test_euler_report_two_cylinder_cusps_count_w_prototypes():
+    for D in range(1, 301):
+        if D % 4 in (0, 1):
+            want = len(enumerate_prototypes(D, "W"))
+            assert euler_report(D).cusps_two_cylinder == want, D
 
 
 def test_euler_report_split_square():

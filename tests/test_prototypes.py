@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from wcurves.exact import QuadNum
 from wcurves.prototypes import (
     Prototype,
+    _w_cusps,
     canonical,
     enumerate_prototypes,
     from_splitting_prototype,
@@ -326,3 +327,10 @@ def test_involution_conjugates_dynamics(D, rng):
         return
     p = rng.choice(ys)
     assert t_involution(next_prototype(p)) == prev_prototype(t_involution(p))
+
+
+def test_w_residue_counts_match_enumeration():
+    for D in range(1, 2001):
+        if D % 4 in (0, 1):
+            count = sum(n for *_, n in _w_cusps(D))
+            assert count == len(enumerate_prototypes(D, "W")), D

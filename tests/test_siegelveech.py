@@ -1,10 +1,20 @@
 from fractions import Fraction
 
+from collections import Counter
+
 import pytest
 
-from wcurves.exact import QuadNum
-from wcurves.prototypes import Prototype
+from wcurves.exact import QuadNum, decompose_discriminant, is_square
+from wcurves.prototypes import (
+    Prototype,
+    _spin_split,
+    _w_cusps,
+    enumerate_prototypes,
+    spin,
+)
+from wcurves.euler import chi_W, chi_W_components
 from wcurves.siegelveech import (
+    _v_sums,
     billiards_coefficient,
     billiards_constant,
     sv_constant,
@@ -119,3 +129,57 @@ def test_sv_report_fields():
     j17 = r17.to_json()
     assert j17["c0"] == "221/24 + 1/8*sqrt(17)"
     assert j17["billiards"] == "221/24 - 1/8*sqrt(17)"
+
+
+def test_coefficient_rejects_nonpositive_digits():
+    for digits in (0, -3):
+        with pytest.raises(ValueError, match="digit"):
+            billiards_coefficient(17, digits=digits)
+        with pytest.raises(ValueError, match="digit"):
+            sv_report(17, digits=digits)
+
+
+def _oracle(D):
+    """QuadNum sums of v_of_prototype over the W prototypes, split by spin."""
+    split = D % 8 == 1
+    sums = [QuadNum(D), QuadNum(D)]
+    for p in enumerate_prototypes(D, "W"):
+        eps = spin(p) if split else 0
+        sums[eps] = sums[eps] + v_of_prototype(p)
+    return sums
+
+
+def test_closed_form_matches_quadnum_oracle():
+    for D in range(5, 1001):
+        if D % 4 not in (0, 1) or is_square(D):
+            continue
+        s0, s1 = _oracle(D)
+        assert _v_sums(D) == (s0, s1), D
+        assert sv_constant(D) == (s0 + s1) / (-2 * chi_W(D)), D
+        if D % 8 == 1:
+            chi0, chi1 = chi_W_components(D)
+            assert sv_constant_components(D) == (s0 / (-2 * chi0), s1 / (-2 * chi1)), D
+
+
+def test_parity_split_d17():
+    w0, w1 = (Prototype("W", 17, 2, -1, -2, q) for q in (0, 1))
+    assert spin(w0) != spin(w1)
+    _, f = decompose_discriminant(17)
+    assert (2, -1, -2, 2) in set(_w_cusps(17))
+    assert _spin_split(2, -1, -2, 2, f) == (1, 1)
+    # Each spin gets one copy of v(2, -1, -2) = 17/4 besides two other terms:
+    # spin 0 v(1, -3, -2) + v(1, 1, -4), spin 1 v(1, -1, -4) + v(2, -3, -1).
+    s0, s1 = _v_sums(17)
+    assert s0 == _q(17, Fraction(221, 8), Fraction(3, 8))
+    assert s1 == _q(17, Fraction(221, 8), Fraction(-3, 8))
+
+
+def test_spin_split_matches_enumerated_spins():
+    for D in (17, 33, 41, 57, 73, 89, 97, 105, 161, 185, 201, 217, 273):
+        _, f = decompose_discriminant(D)
+        spins = Counter()
+        for p in enumerate_prototypes(D, "W"):
+            spins[(p.a, p.b, p.c, spin(p))] += 1
+        for a, b, c, n in _w_cusps(D):
+            want = (spins[(a, b, c, 0)], spins[(a, b, c, 1)])
+            assert _spin_split(a, b, c, n, f) == want, (D, a, b, c)
