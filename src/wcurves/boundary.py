@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .euler import chi_X, one_cylinder_cusps
+from .euler import _one_cylinder, chi_X
 from .exact import check_discriminant, euler_phi, is_square, mobius_weighted_sum
 from .prototypes import (
     Prototype,
@@ -146,7 +146,6 @@ class CuspComplex:
 def build_complex(D: int) -> CuspComplex:
     check_discriminant(D, minimum=5)
     square = is_square(D)
-    d = math.isqrt(D) if square else 0
     with_spin = _spin_applies(D)
     ys = enumerate_prototypes(D, "Y")
     w_fiber: dict[Prototype, list[Prototype]] = {p: [] for p in ys}
@@ -172,18 +171,9 @@ def build_complex(D: int) -> CuspComplex:
         )
     s1s2 = None
     if square:
-        if d == 2:
-            s1s2 = 1
-            one_total: int | None = 0
-            one_spins: tuple[int, ...] | None = None
-        elif d == 3:
-            s1s2 = euler_phi(d) // 2
-            one_total, one_spins = None, None
-        else:
-            s1s2 = euler_phi(d) // 2
-            total, s0, s1 = one_cylinder_cusps(d)
-            one_total = total
-            one_spins = (0,) * s0 + (1,) * s1 if s0 is not None else None
+        s1s2 = euler_phi(math.isqrt(D)) // 2
+        one_total, split = _one_cylinder(D)
+        one_spins = (0,) * split[0] + (1,) * split[1] if split else None
         curves.append(CurveNode("S1", None, one_total, 0, one_spins))
         curves.append(CurveNode("S2", None, 0, 0, None))
 
@@ -241,15 +231,18 @@ class CohClass:
     b: tuple[tuple[str, Fraction], ...]
 
 
+def _ledger_applies(D: int) -> bool:
+    """Whether the intersection ledger is defined: D >= 5, and d >= 4 if D = d^2."""
+    return D >= 5 and not (is_square(D) and math.isqrt(D) < 4)
+
+
 def _ledger_regime(D: int) -> str:
     check_discriminant(D, minimum=5)
-    if is_square(D):
-        if math.isqrt(D) < 4:
-            raise ValueError(
-                f"the intersection ledger needs square D = d^2 with d >= 4, got {D}"
-            )
-        return "square"
-    return "nonsquare"
+    if not _ledger_applies(D):
+        raise ValueError(
+            f"the intersection ledger needs square D = d^2 with d >= 4, got {D}"
+        )
+    return "square" if is_square(D) else "nonsquare"
 
 
 _NONSQUARE_NAMES = ("W", "P", "W0", "W1")

@@ -20,7 +20,7 @@ from . import boundary as boundary_mod
 from . import euler as euler_mod
 from . import siegelveech as sv_mod
 from . import verify as verify_mod
-from .exact import check_discriminant, is_discriminant, is_square
+from .exact import check_discriminant, is_discriminant
 from .prototypes import enumerate_prototypes, prototype_to_json
 
 TABLE1_D = (5, 8, 12, 13, 17, 20, 21, 24, 28, 29)
@@ -77,11 +77,16 @@ def _cmd_prototypes(args) -> int:
     return 0
 
 
-_EULER_KEYS = (
-    "D", "D0", "f", "h2", "chi_X", "chi_W", "chi_W0", "chi_W1", "chi_P",
-    "chi_Q", "chi_S1", "chi_S2", "components", "cusps_two_cyl",
-    "cusps_one_cyl", "cusps_one_cyl_spin0", "cusps_one_cyl_spin1",
-)
+def _render_reports(records: list[dict], args) -> str:
+    """Report records as json, csv or text; the columns are the record keys."""
+    if args.format == "json":
+        return json.dumps(records if args.d is None else records[0], indent=2)
+    keys = list(records[0])
+    if args.format == "csv":
+        return _csv([keys] + [["" if r[k] is None else str(r[k]) for k in keys] for r in records])
+    return "\n\n".join(
+        "\n".join(f"{k} = {'-' if r[k] is None else r[k]}" for k in keys) for r in records
+    )
 
 
 def _cmd_euler(args) -> int:
@@ -89,47 +94,20 @@ def _cmd_euler(args) -> int:
     reports = [euler_mod.euler_report(D).to_json() for D in _discriminants(dmin, dmax)]
     if not reports:
         raise ValueError(f"no discriminants in [{dmin}, {dmax}]")
-    if args.format == "json":
-        text = json.dumps(reports if args.d is None else reports[0], indent=2)
-    elif args.format == "csv":
-        rows = [list(_EULER_KEYS)]
-        rows += [["" if r[k] is None else str(r[k]) for k in _EULER_KEYS] for r in reports]
-        text = _csv(rows)
-    else:
-        blocks = []
-        for r in reports:
-            lines = [f"{k} = {'-' if r[k] is None else r[k]}" for k in _EULER_KEYS]
-            blocks.append("\n".join(lines))
-        text = "\n\n".join(blocks)
-    _emit(text, args.output)
+    _emit(_render_reports(reports, args), args.output)
     return 0
-
-
-_SV_KEYS = ("D", "c", "c0", "c1", "billiards", "area", "coefficient")
 
 
 def _cmd_sv(args) -> int:
     dmin, dmax = _range_of(args)
-    reports = []
-    for D in _discriminants(dmin, dmax):
-        if args.d is None and (D < 5 or is_square(D)):
-            continue
-        reports.append(sv_mod.sv_report(D, digits=args.digits).to_json())
+    reports = [
+        sv_mod.sv_report(D, digits=args.digits).to_json()
+        for D in _discriminants(dmin, dmax)
+        if args.d is not None or sv_mod._sv_applies(D)
+    ]
     if not reports:
         raise ValueError(f"no nonsquare discriminants >= 5 in [{dmin}, {dmax}]")
-    if args.format == "json":
-        text = json.dumps(reports if args.d is None else reports[0], indent=2)
-    elif args.format == "csv":
-        rows = [list(_SV_KEYS)]
-        rows += [["" if r[k] is None else str(r[k]) for k in _SV_KEYS] for r in reports]
-        text = _csv(rows)
-    else:
-        blocks = []
-        for r in reports:
-            lines = [f"{k} = {'-' if r[k] is None else r[k]}" for k in _SV_KEYS]
-            blocks.append("\n".join(lines))
-        text = "\n\n".join(blocks)
-    _emit(text, args.output)
+    _emit(_render_reports(reports, args), args.output)
     return 0
 
 
@@ -174,16 +152,15 @@ def _cmd_boundary(args) -> int:
 
 
 def _table2_value(D: int) -> str:
-    if D % 8 == 1:
-        return str(sv_mod.sv_constant_components(D)[0])
-    return str(sv_mod.sv_constant(D))
+    constant, components, _ = sv_mod._constants(D)
+    return str(constant if components is None else components[0])
 
 
 def _cmd_tables(args) -> int:
     if not args.sv and not args.regenerate:
         raise ValueError("tables needs --sv or --regenerate")
     table2 = [[str(D), _table2_value(D)]
-              for D in _discriminants(5, args.dmax) if not is_square(D)]
+              for D in _discriminants(5, args.dmax) if sv_mod._sv_applies(D)]
     if not table2:
         raise ValueError(f"no nonsquare discriminants >= 5 up to --dmax {args.dmax}")
     if args.sv:
@@ -224,6 +201,8 @@ def _cmd_verify(args) -> int:
         for f in r.failures:
             failed += 1
             lines.append(f"  FAIL {f}")
+        if not r.ok:
+            lines.append(f"  reproduce: wcurves verify --dmin {r.D} --dmax {r.D}")
         for name, n in r.tallies:
             totals[name] = totals.get(name, 0) + n
     lines.append("")

@@ -208,6 +208,21 @@ def one_cylinder_cusps(d: int) -> tuple[int, int | None, int | None]:
     return (int(total), int(s0), int(s1))
 
 
+def _one_cylinder(D: int) -> tuple[int | None, tuple[int, int] | None]:
+    """(one-cylinder cusp count, (spin 0, spin 1) or None) of discriminant D.
+
+    Nonsquare D and D = d^2 with d <= 2 have none; for d = 3 the count is
+    undefined (None).
+    """
+    d = math.isqrt(D)
+    if not is_square(D) or d <= 2:
+        return 0, None
+    if d == 3:
+        return None, None
+    total, s0, s1 = one_cylinder_cusps(d)
+    return total, None if s0 is None else (s0, s1)
+
+
 def lyapunov_lambda2(stratum: str) -> Fraction:
     """Second Lyapunov exponent by stratum of the genus two moduli of forms."""
     if stratum == "double_zero":
@@ -345,20 +360,7 @@ def euler_report(D: int) -> EulerReport:
     check_discriminant(D)
     d0, f = decompose_discriminant(D)
     square = d0 == 1
-    d = f if square else 0
-    if _spin_applies(D):
-        components = chi_W_components(D)
-    else:
-        components = None
-    if not square or d <= 2:
-        one_cyl: int | None = 0
-        one_spin = None
-    elif d == 3:
-        one_cyl, one_spin = None, None
-    else:
-        total, s0, s1 = one_cylinder_cusps(d)
-        one_cyl = total
-        one_spin = None if s0 is None else (s0, s1)
+    one_cyl, one_spin = _one_cylinder(D)
     return EulerReport(
         D=D,
         d0=d0,
@@ -366,10 +368,10 @@ def euler_report(D: int) -> EulerReport:
         h=h2(D),
         chi_x=chi_X(D),
         chi_w=chi_W(D),
-        chi_w_components=components,
+        chi_w_components=chi_W_components(D) if _spin_applies(D) else None,
         chi_p=chi_P(D) if D >= 4 else None,
         chi_q=chi_Q(D) if D >= 4 else None,
-        chi_s=chi_S(D) if square and d >= 2 else None,
+        chi_s=chi_S(D) if square and f >= 2 else None,
         components=num_components(D),
         cusps_two_cylinder=sum(n for *_, n in _w_cusps(D)),
         cusps_one_cylinder=one_cyl,

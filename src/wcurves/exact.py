@@ -216,10 +216,6 @@ class QuadNum:
     def sqrt(cls, disc: int) -> "QuadNum":
         return cls(disc, Fraction(0), Fraction(1))
 
-    @property
-    def is_rational(self) -> bool:
-        return self.rad == 0
-
     def galois_conjugate(self) -> "QuadNum":
         return QuadNum(self.disc, self.rat, -self.rad)
 

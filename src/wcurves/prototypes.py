@@ -191,7 +191,7 @@ def _w_cusps(D: int):
             yield a, b, c, euler_phi(g) * (m // g)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=3)
 def _enumerate(D: int, kind: str) -> tuple[Prototype, ...]:
     seen = set()
     for a, b, c in _triples(D):

@@ -30,9 +30,14 @@ __all__ = [
 ]
 
 
+def _sv_applies(D: int) -> bool:
+    """Whether the cylinder-counting constants are defined: nonsquare D >= 5."""
+    return D >= 5 and not is_square(D)
+
+
 def _check_sv_discriminant(D: int) -> None:
     check_discriminant(D, minimum=5)
-    if is_square(D):
+    if not _sv_applies(D):
         raise ValueError(
             f"D={D} is a square: cylinder-counting constants are computed "
             "only in the nonsquare regime"

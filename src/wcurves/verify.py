@@ -62,15 +62,14 @@ class _Rec:
 
 def _check_enumeration(D: int, rec: _Rec) -> None:
     for kind in ("Y", "W", "P"):
-        ours = [(p.a, p.b, p.c, p.q) for p in enumerate_prototypes(D, kind)]
+        protos = enumerate_prototypes(D, kind)
+        ours = [(p.a, p.b, p.c, p.q) for p in protos]
         theirs = reference.reference_tuples(D, kind)
         rec.check(
             f"enumeration_{kind}",
             ours == theirs,
             f"enumerator {ours} vs reference {theirs}",
         )
-    for kind in ("Y", "W", "P"):
-        protos = enumerate_prototypes(D, kind)
         rec.check(f"canonical_{kind}", all(p == canonical(p) for p in protos))
 
 
@@ -151,20 +150,20 @@ def _check_euler(D: int, rec: _Rec) -> None:
 
 
 def _check_sv(D: int, rec: _Rec) -> None:
-    if D < 5 or is_square(D):
+    if not siegelveech._sv_applies(D):
         return
     ws = enumerate_prototypes(D, "W")
     for w in ws:
         rec.check("v_positive", siegelveech.v_of_prototype(w).sign1() > 0, str(w))
-    c = siegelveech.sv_constant(D)
+    c, components, billiards = siegelveech._constants(D)
     rec.check("sv_positive", c.sign1() > 0 and c.sign2() > 0)
-    if D % 8 == 1:
-        c0, c1 = siegelveech.sv_constant_components(D)
+    if components is None:
+        rec.check("sv_rational", c.rad == 0, str(c))
+    else:
+        c0, c1 = components
         rec.check("sv_conjugacy", c1 == c0.galois_conjugate(), f"{c0} vs {c1}")
         rec.check("sv_mean", (c0 + c1) / 2 == c)
-        rec.check("sv_billiards_pick", siegelveech.billiards_constant(D) in (c0, c1))
-    else:
-        rec.check("sv_rational", c.rad == 0, str(c))
+        rec.check("sv_billiards_pick", billiards in (c0, c1))
 
 
 def _check_boundary(D: int, rec: _Rec) -> None:
@@ -204,11 +203,9 @@ def _check_boundary(D: int, rec: _Rec) -> None:
 
 
 def _check_ledger(D: int, rec: _Rec) -> None:
-    if D < 5:
+    if not boundary._ledger_applies(D):
         return
     square = is_square(D)
-    if square and math.isqrt(D) < 4:
-        return
     fc = lambda name: boundary.fundamental_class(D, name)
     pair = boundary.intersect
     split = _spin_applies(D)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wcurves import reference
 from wcurves.cli import main
 from wcurves.prototypes import prototype_from_json
 
@@ -144,6 +145,21 @@ def test_verify_ok(capsys):
     assert "D=5: " in out
     assert "0 failed" in out
     assert "enumeration_W" in out  # per-suite tally
+
+
+def test_verify_failure_exits_2_with_reproducer(monkeypatch, capsys):
+    monkeypatch.setattr(reference, "reference_tuples", lambda D, kind: [])
+    assert main(["verify", "--dmin", "5", "--dmax", "5"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("D=5: ") and lines[0].endswith(" checks, FAIL")
+    assert any(line.startswith("  FAIL enumeration_") for line in lines)
+    assert lines.count("  reproduce: wcurves verify --dmin 5 --dmax 5") == 1
+    assert lines[-1].endswith(" failed") and not lines[-1].endswith(" 0 failed")
+
+
+def test_verify_pass_prints_no_reproducer(capsys):
+    assert main(["verify", "--dmin", "5", "--dmax", "12"]) == 0
+    assert "reproduce:" not in capsys.readouterr().out
 
 
 def test_verify_sharding_covers_everything(capsys):

@@ -1,0 +1,164 @@
+"""Exact CLI output, pinned byte for byte.
+
+The cases cover the sv text format, an undefined one-cylinder count
+(D = 9), the spin split of the one-cylinder cusps (D = 81) and the
+boundary text format.  The euler and sv commands share one renderer, and
+the boundary complex takes its one-cylinder data from `euler`, so these
+strings hold the output of those shared paths fixed.
+"""
+
+import pytest
+
+from wcurves.cli import main
+
+SV_17_TEXT = """\
+D = 17
+c = 221/24
+c0 = 221/24 + 1/8*sqrt(17)
+c1 = 221/24 - 1/8*sqrt(17)
+billiards = 221/24 - 1/8*sqrt(17)
+area = 17/8 + 1/8*sqrt(17)
+coefficient = 10.34305960
+"""
+
+SV_17_CSV = """\
+D,c,c0,c1,billiards,area,coefficient
+17,221/24,221/24 + 1/8*sqrt(17),221/24 - 1/8*sqrt(17),221/24 - 1/8*sqrt(17),17/8 + 1/8*sqrt(17),10.34305960
+"""
+
+SV_17_JSON = """\
+{
+  "D": 17,
+  "c": "221/24",
+  "c0": "221/24 + 1/8*sqrt(17)",
+  "c1": "221/24 - 1/8*sqrt(17)",
+  "billiards": "221/24 - 1/8*sqrt(17)",
+  "area": "17/8 + 1/8*sqrt(17)",
+  "coefficient": "10.34305960"
+}
+"""
+
+EULER_9_TEXT = """\
+D = 9
+D0 = 1
+f = 3
+h2 = -25/12
+chi_X = 1/3
+chi_W = -1/2
+chi_W0 = -
+chi_W1 = -
+chi_P = -1/2
+chi_Q = -1
+chi_S1 = -2/3
+chi_S2 = -2/3
+components = 1
+cusps_two_cyl = 1
+cusps_one_cyl = -
+cusps_one_cyl_spin0 = -
+cusps_one_cyl_spin1 = -
+"""
+
+EULER_9_CSV = """\
+D,D0,f,h2,chi_X,chi_W,chi_W0,chi_W1,chi_P,chi_Q,chi_S1,chi_S2,components,cusps_two_cyl,cusps_one_cyl,cusps_one_cyl_spin0,cusps_one_cyl_spin1
+9,1,3,-25/12,1/3,-1/2,,,-1/2,-1,-2/3,-2/3,1,1,,,
+"""
+
+EULER_81_TEXT = """\
+D = 81
+D0 = 1
+f = 9
+h2 = -673/12
+chi_X = 9
+chi_W = -63/2
+chi_W0 = -18
+chi_W1 = -27/2
+chi_P = -39/2
+chi_Q = -39
+chi_S1 = -6
+chi_S2 = -6
+components = 2
+cusps_two_cyl = 21
+cusps_one_cyl = 9
+cusps_one_cyl_spin0 = 3
+cusps_one_cyl_spin1 = 6
+"""
+
+EULER_81_CSV = """\
+D,D0,f,h2,chi_X,chi_W,chi_W0,chi_W1,chi_P,chi_Q,chi_S1,chi_S2,components,cusps_two_cyl,cusps_one_cyl,cusps_one_cyl_spin0,cusps_one_cyl_spin1
+81,1,9,-673/12,9,-63/2,-18,-27/2,-39/2,-39,-6,-6,2,21,9,3,6
+"""
+
+BOUNDARY_9_TEXT = """\
+boundary complex for D = 9
+curves:
+  C(1,-1,-2,0): wcusps=1 pcusps=1 spins=-
+  C(1,1,-2,0): wcusps=0 pcusps=1 spins=-
+  S1: wcusps=- pcusps=0 spins=-
+  S2: wcusps=0 pcusps=0 spins=-
+junctions:
+  c(1,-3,0,0): m=1 S1 -> C(1,-1,-2,0) wcusps=0 pcusps=0
+  c(1,-1,-2,0): m=1 C(1,-1,-2,0) -> C(1,1,-2,0) wcusps=1 pcusps=1
+  c(1,1,-2,0): m=1 C(1,1,-2,0) -> S2 wcusps=0 pcusps=1
+s1s2_points: 1
+"""
+
+BOUNDARY_49_TEXT = """\
+boundary complex for D = 49
+curves:
+  C(1,-5,-6,0): wcusps=1 pcusps=1 spins=0
+  C(1,-3,-10,0): wcusps=1 pcusps=1 spins=1
+  C(1,-1,-12,0): wcusps=1 pcusps=1 spins=0
+  C(1,1,-12,0): wcusps=1 pcusps=1 spins=1
+  C(1,3,-10,0): wcusps=1 pcusps=1 spins=0
+  C(1,5,-6,0): wcusps=0 pcusps=1 spins=-
+  C(2,-5,-3,0): wcusps=1 pcusps=1 spins=1
+  C(2,-3,-5,0): wcusps=1 pcusps=1 spins=0
+  C(2,-1,-6,0): wcusps=2 pcusps=2 spins=0,1
+  C(2,1,-6,0): wcusps=2 pcusps=2 spins=0,1
+  C(2,3,-5,0): wcusps=0 pcusps=1 spins=-
+  C(3,-5,-2,0): wcusps=1 pcusps=1 spins=0
+  C(3,-1,-4,0): wcusps=1 pcusps=1 spins=0
+  C(3,1,-4,0): wcusps=0 pcusps=1 spins=-
+  S1: wcusps=5 pcusps=0 spins=0,0,1,1,1
+  S2: wcusps=0 pcusps=0 spins=-
+junctions:
+  c(1,-7,0,0): m=1 S1 -> C(1,-5,-6,0) wcusps=0 pcusps=0
+  c(1,-5,-6,0): m=1 C(1,-5,-6,0) -> C(1,-3,-10,0) wcusps=1 pcusps=1
+  c(1,-3,-10,0): m=1 C(1,-3,-10,0) -> C(1,-1,-12,0) wcusps=1 pcusps=1
+  c(1,-1,-12,0): m=1 C(1,-1,-12,0) -> C(1,1,-12,0) wcusps=1 pcusps=1
+  c(1,1,-12,0): m=1 C(1,1,-12,0) -> C(1,3,-10,0) wcusps=1 pcusps=1
+  c(1,3,-10,0): m=1 C(1,3,-10,0) -> C(1,5,-6,0) wcusps=1 pcusps=1
+  c(1,5,-6,0): m=1 C(1,5,-6,0) -> S2 wcusps=0 pcusps=1
+  c(2,-7,0,0): m=1 S1 -> C(2,-3,-5,0) wcusps=0 pcusps=0
+  c(2,-5,-3,0): m=1 C(2,-5,-3,0) -> C(2,-1,-6,0) wcusps=1 pcusps=1
+  c(2,-3,-5,0): m=1 C(2,-3,-5,0) -> C(2,1,-6,0) wcusps=1 pcusps=1
+  c(2,-1,-6,0): m=1 C(2,-1,-6,0) -> C(2,3,-5,0) wcusps=2 pcusps=2
+  c(2,1,-6,0): m=1 C(2,1,-6,0) -> C(3,-5,-2,0) wcusps=2 pcusps=2
+  c(2,3,-5,0): m=1 C(2,3,-5,0) -> S2 wcusps=0 pcusps=1
+  c(3,-7,0,0): m=1 S1 -> C(3,-1,-4,0) wcusps=0 pcusps=0
+  c(3,-5,-2,0): m=3 C(3,-5,-2,0) -> C(3,1,-4,0) wcusps=1 pcusps=1
+  c(3,-1,-4,0): m=3 C(3,-1,-4,0) -> C(2,-5,-3,0) wcusps=1 pcusps=1
+  c(3,1,-4,0): m=1 C(3,1,-4,0) -> S2 wcusps=0 pcusps=1
+s1s2_points: 3
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ("sv --d 17 --digits 10", SV_17_TEXT),
+        ("sv --d 17 --digits 10 --format csv", SV_17_CSV),
+        ("sv --d 17 --digits 10 --format json", SV_17_JSON),
+        ("euler --d 9", EULER_9_TEXT),
+        ("euler --d 9 --format csv", EULER_9_CSV),
+        ("euler --d 81", EULER_81_TEXT),
+        ("euler --d 81 --format csv", EULER_81_CSV),
+        ("boundary --d 9", BOUNDARY_9_TEXT),
+        ("boundary --d 49", BOUNDARY_49_TEXT),
+    ],
+)
+def test_output_is_pinned(capsys, argv, expected):
+    assert main(argv.split()) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""

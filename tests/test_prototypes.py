@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcurves.exact import QuadNum
+from wcurves.exact import QuadNum, is_discriminant
 from wcurves.prototypes import (
     Prototype,
+    _enumerate,
     _w_cusps,
     canonical,
     enumerate_prototypes,
@@ -334,3 +335,11 @@ def test_w_residue_counts_match_enumeration():
         if D % 4 in (0, 1):
             count = sum(n for *_, n in _w_cusps(D))
             assert count == len(enumerate_prototypes(D, "W")), D
+
+
+def test_enumeration_cache_holds_one_discriminant():
+    for D in range(1, 61):
+        if is_discriminant(D):
+            for kind in ("Y", "W", "P"):
+                enumerate_prototypes(D, kind)
+    assert _enumerate.cache_info().currsize <= 3

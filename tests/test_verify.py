@@ -1,5 +1,6 @@
 import pytest
 
+from wcurves import reference
 from wcurves.verify import verify_discriminant, verify_range
 
 
@@ -43,3 +44,11 @@ def test_bad_shard_rejected():
         verify_range(5, 10, shard=(3, 3))
     with pytest.raises(ValueError):
         verify_range(5, 10, shard=(0, 0))
+
+
+def test_failed_check_is_reported(monkeypatch):
+    monkeypatch.setattr(reference, "reference_tuples", lambda D, kind: [])
+    r = verify_discriminant(5)
+    assert not r.ok
+    assert any(f.startswith("enumeration_") for f in r.failures)
+    assert r.passed == sum(n for _, n in r.tallies)
