@@ -23,13 +23,14 @@ from .euler import _one_cylinder, chi_X
 from .exact import check_discriminant, euler_phi, is_square, mobius_weighted_sum
 from .prototypes import (
     Prototype,
+    _canonical_triple,
+    _gcd3,
+    _next_triple,
     _spin_applies,
     enumerate_prototypes,
-    next_prototype,
     orbifold_order,
     spin,
     t_involution,
-    y_image,
 )
 
 __all__ = [
@@ -62,8 +63,8 @@ class _Undetermined:
 UNDETERMINED = _Undetermined()
 
 
-def _node_id(p: Prototype) -> str:
-    return f"C({p.a},{p.b},{p.c},{p.q})"
+def _node_id(a: int, b: int, c: int, q: int) -> str:
+    return f"C({a},{b},{c},{q})"
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ class CuspComplex:
         if node_id == "S2":
             return "S1"
         node = self.curve(node_id)
-        return _node_id(t_involution(node.prototype))
+        return _node_id(*t_involution(node.prototype).abcq)
 
     def to_json(self) -> dict:
         return {
@@ -148,25 +149,27 @@ def build_complex(D: int) -> CuspComplex:
     square = is_square(D)
     with_spin = _spin_applies(D)
     ys = enumerate_prototypes(D, "Y")
-    w_fiber: dict[Prototype, list[Prototype]] = {p: [] for p in ys}
-    p_fiber: dict[Prototype, list[Prototype]] = {p: [] for p in ys}
-    for w in enumerate_prototypes(D, "W"):
-        w_fiber[y_image(w)].append(w)
-    for pp in enumerate_prototypes(D, "P"):
-        p_fiber[y_image(pp)].append(pp)
+    # A cusp's key is the quadruple of its y_image, computed without
+    # building that Prototype: the Y-canonical triple, q mod gcd(a, b, c).
+    w_fiber: dict[tuple, list[Prototype]] = {p.abcq: [] for p in ys}
+    p_fiber: dict[tuple, list[Prototype]] = {p.abcq: [] for p in ys}
+    for kind, fiber in (("W", w_fiber), ("P", p_fiber)):
+        for x in enumerate_prototypes(D, kind):
+            a, b, c, q = x.abcq
+            fiber[(*_canonical_triple("Y", a, b, c), q % _gcd3(a, b, c))].append(x)
 
     curves = []
     for p in ys:
         if p.is_degenerate:
             continue
-        spins = tuple(sorted(spin(w) for w in w_fiber[p])) if with_spin else None
+        ws = w_fiber[p.abcq]
         curves.append(
             CurveNode(
-                id=_node_id(p),
+                id=_node_id(*p.abcq),
                 prototype=p,
-                wcusps=len(w_fiber[p]),
-                pcusps=len(p_fiber[p]),
-                spins=spins,
+                wcusps=len(ws),
+                pcusps=len(p_fiber[p.abcq]),
+                spins=tuple(sorted(spin(w) for w in ws)) if with_spin else None,
             )
         )
     s1s2 = None
@@ -179,16 +182,15 @@ def build_complex(D: int) -> CuspComplex:
 
     junctions = []
     for p in ys:
-        src = "S1" if p.is_degenerate else _node_id(p)
-        dst = "S2" if p.is_terminal else _node_id(next_prototype(p))
+        a, b, c, q = key = p.abcq
         junctions.append(
             JunctionEdge(
                 prototype=p,
                 m=orbifold_order(p),
-                src=src,
-                dst=dst,
-                w_fiber=tuple(w_fiber[p]),
-                p_fiber=tuple(p_fiber[p]),
+                src="S1" if p.is_degenerate else _node_id(*key),
+                dst="S2" if p.is_terminal else _node_id(*_next_triple(a, b, c), q),
+                w_fiber=tuple(w_fiber[key]),
+                p_fiber=tuple(p_fiber[key]),
             )
         )
     return CuspComplex(

@@ -52,6 +52,8 @@ def _csv(rows: list[list[str]]) -> str:
 
 def _range_of(args) -> tuple[int, int]:
     if args.d is not None:
+        if args.dmin is not None or args.dmax is not None:
+            raise ValueError("--d cannot be combined with --dmin or --dmax")
         check_discriminant(args.d)
         return args.d, args.d
     if args.dmin is None or args.dmax is None:

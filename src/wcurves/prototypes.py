@@ -153,13 +153,17 @@ def canonical(p: Prototype) -> Prototype:
     return Prototype(p.kind, p.D, a, b, c, p.q)
 
 
-def _triples(D: int):
+@lru_cache(maxsize=1)
+def _triples(D: int) -> tuple[tuple[int, int, int], ...]:
     """Each (a, b, c) with b^2 - 4ac = D, a > 0, c <= 0 and a + b + c <= 0, once.
 
     The scan runs over b, then over the divisor pairs of -ac = (D - b^2)/4.
     For square D = d^2 the degenerate triples (a, -d, 0) have 0 < a < d:
     (d, -d, 0) is both terminal and degenerate, which no kind admits.
+    The cache holds one discriminant, so the per-D reports and the three
+    kinds of `_enumerate` share one scan.
     """
+    out = []
     d = math.isqrt(D)
     for b in range(-d, d + 1):
         if (D - b * b) % 4:
@@ -167,15 +171,15 @@ def _triples(D: int):
         t = (D - b * b) // 4  # t = -a*c >= 0
         if t == 0:
             if b < 0:
-                for a in range(1, d):
-                    yield a, b, 0
+                out.extend((a, b, 0) for a in range(1, d))
             continue
         for a in range(1, math.isqrt(t) + 1):
             if t % a == 0:
                 for aa in (a, t // a) if a * a != t else (a,):
                     c = -(t // aa)
                     if aa + b + c <= 0:
-                        yield aa, b, c
+                        out.append((aa, b, c))
+    return tuple(out)
 
 
 def _w_cusps(D: int):
@@ -191,8 +195,30 @@ def _w_cusps(D: int):
             yield a, b, c, euler_phi(g) * (m // g)
 
 
+def _unchecked(kind: str, D: int, a: int, b: int, c: int, q: int) -> Prototype:
+    """A Prototype built without __post_init__, for fields already known valid."""
+    p = object.__new__(Prototype)
+    # One object.__setattr__ per field in field order, as the frozen
+    # dataclass __init__ does, keeps the instance dict as small as a
+    # validated Prototype's.
+    put = object.__setattr__
+    put(p, "kind", kind)
+    put(p, "D", D)
+    put(p, "a", a)
+    put(p, "b", b)
+    put(p, "c", c)
+    put(p, "q", q)
+    return p
+
+
 @lru_cache(maxsize=3)
 def _enumerate(D: int, kind: str) -> tuple[Prototype, ...]:
+    """The canonical prototypes of one kind, valid by construction.
+
+    Each triple satisfies the kind's conditions on c and a + b + c, its
+    canonical partner does too, and q runs over the residues mod the
+    kind's modulus coprime to gcd(a, b, c): what __post_init__ checks.
+    """
     seen = set()
     for a, b, c in _triples(D):
         if (kind != "Y" and c == 0) or (kind == "W" and a + b + c == 0):
@@ -204,9 +230,7 @@ def _enumerate(D: int, kind: str) -> tuple[Prototype, ...]:
             for q in range(_kind_modulus(kind, *triple))
             if math.gcd(g, q) == 1
         )
-    return tuple(
-        Prototype(kind, D, *entry) for entry in sorted(seen)
-    )
+    return tuple(_unchecked(kind, D, *entry) for entry in sorted(seen))
 
 
 def enumerate_prototypes(D: int, kind: str = "W") -> list[Prototype]:
@@ -228,17 +252,21 @@ def _require_kind_y(p: Prototype, op: str) -> None:
         raise ValueError(f"{op} is defined for kind Y prototypes, got kind {p.kind}")
 
 
+def _next_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """Canonical triple of the successor of a nonterminal kind Y triple."""
+    if 4 * a + 2 * b + c <= 0:
+        triple = (a, 2 * a + b, a + b + c)
+    else:
+        triple = (-a - b - c, -2 * a - b, -a)
+    return _canonical_triple("Y", *triple)
+
+
 def next_prototype(p: Prototype) -> Prototype:
     """Successor junction prototype.  Undefined on terminal prototypes."""
     _require_kind_y(p, "next_prototype")
     if p.is_terminal:
         raise ValueError(f"{p} is terminal and has no successor")
-    a, b, c, q = p.abcq
-    if 4 * a + 2 * b + c <= 0:
-        triple = (a, 2 * a + b, a + b + c)
-    else:
-        triple = (-a - b - c, -2 * a - b, -a)
-    return Prototype("Y", p.D, *_canonical_triple("Y", *triple), q)
+    return Prototype("Y", p.D, *_next_triple(p.a, p.b, p.c), p.q)
 
 
 def prev_prototype(p: Prototype) -> Prototype:

@@ -226,3 +226,18 @@ def test_unwritable_output_is_an_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "No such file" in err
     assert "Traceback" not in err
+
+
+def test_single_d_mixed_with_a_range_is_an_error(capsys):
+    for argv in (
+        ["euler", "--d", "5", "--dmin", "3"],
+        ["euler", "--d", "5", "--dmin", "3", "--dmax", "20"],
+        ["sv", "--d", "5", "--dmax", "3"],
+        ["sv", "--d", "17", "--dmin", "5", "--dmax", "30", "--format", "csv"],
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), argv
+        assert "--d" in lines[0] and "--dmin or --dmax" in lines[0]
