@@ -20,16 +20,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .euler import _one_cylinder, chi_X
-from .exact import check_discriminant, euler_phi, is_square, mobius_weighted_sum
+from .exact import (
+    check_discriminant,
+    decompose_discriminant,
+    euler_phi,
+    is_square,
+    mobius_weighted_sum,
+)
 from .prototypes import (
     Prototype,
     _canonical_triple,
     _gcd3,
     _next_triple,
+    _spin,
     _spin_applies,
     enumerate_prototypes,
     orbifold_order,
-    spin,
     t_involution,
 )
 
@@ -158,18 +164,30 @@ def build_complex(D: int) -> CuspComplex:
             a, b, c, q = x.abcq
             fiber[(*_canonical_triple("Y", a, b, c), q % _gcd3(a, b, c))].append(x)
 
+    f = decompose_discriminant(D)[1] if with_spin else None
     curves = []
+    junctions = []
     for p in ys:
-        if p.is_degenerate:
-            continue
-        ws = w_fiber[p.abcq]
-        curves.append(
-            CurveNode(
-                id=_node_id(*p.abcq),
+        a, b, c, q = key = p.abcq
+        ws = w_fiber[key]
+        if not p.is_degenerate:
+            curves.append(
+                CurveNode(
+                    id=_node_id(*key),
+                    prototype=p,
+                    wcusps=len(ws),
+                    pcusps=len(p_fiber[key]),
+                    spins=tuple(sorted(_spin(*w.abcq, f) for w in ws)) if with_spin else None,
+                )
+            )
+        junctions.append(
+            JunctionEdge(
                 prototype=p,
-                wcusps=len(ws),
-                pcusps=len(p_fiber[p.abcq]),
-                spins=tuple(sorted(spin(w) for w in ws)) if with_spin else None,
+                m=orbifold_order(p),
+                src="S1" if p.is_degenerate else _node_id(*key),
+                dst="S2" if p.is_terminal else _node_id(*_next_triple(a, b, c), q),
+                w_fiber=tuple(ws),
+                p_fiber=tuple(p_fiber[key]),
             )
         )
     s1s2 = None
@@ -179,20 +197,6 @@ def build_complex(D: int) -> CuspComplex:
         one_spins = (0,) * split[0] + (1,) * split[1] if split else None
         curves.append(CurveNode("S1", None, one_total, 0, one_spins))
         curves.append(CurveNode("S2", None, 0, 0, None))
-
-    junctions = []
-    for p in ys:
-        a, b, c, q = key = p.abcq
-        junctions.append(
-            JunctionEdge(
-                prototype=p,
-                m=orbifold_order(p),
-                src="S1" if p.is_degenerate else _node_id(*key),
-                dst="S2" if p.is_terminal else _node_id(*_next_triple(a, b, c), q),
-                w_fiber=tuple(w_fiber[key]),
-                p_fiber=tuple(p_fiber[key]),
-            )
-        )
     return CuspComplex(
         D=D,
         curves=tuple(curves),

@@ -14,11 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-Rational = Fraction
-
 __all__ = [
     "QuadNum",
-    "Rational",
     "check_discriminant",
     "decompose_discriminant",
     "divisors",

@@ -1,13 +1,14 @@
 """Cusp prototypes of discriminant D and their dynamics.
 
 A prototype is a quadruple (a, b, c, q) of integers with b^2 - 4ac = D,
-a > 0, c <= 0 and gcd(a, b, c, q) = 1.  The residue q lives in Z/modulus
-where the modulus depends on the kind:
+a > 0, not both c = 0 and a + b + c = 0, and gcd(a, b, c, q) = 1.  Its
+kind bounds c and a + b + c from above (the table _BOUNDS) and fixes the
+modulus of the residue q:
 
-  kind Y: c <= 0, a + b + c <= 0, not both a + b + c = 0 and c = 0,
-          modulus gcd(a, b, c).  Indexes boundary curves and junctions.
-  kind P: c < 0,  a + b + c <= 0, modulus gcd(a, c).
-  kind W: c < 0,  a + b + c < 0,  modulus gcd(a, c).
+  kind Y: c <= 0, a + b + c <= 0, q mod gcd(a, b, c).
+          Indexes the boundary curves and junctions.
+  kind P: c < 0,  a + b + c <= 0, q mod gcd(a, c).
+  kind W: c < 0,  a + b + c < 0,  q mod gcd(a, c).
 
 A prototype with a + b + c = 0 is terminal, one with a - b + c = 0 is
 initial, one with c = 0 is degenerate; the last two kinds occur only for
@@ -51,7 +52,8 @@ __all__ = [
     "y_image",
 ]
 
-KINDS = ("Y", "W", "P")
+# Each kind's strict upper bounds on c and on a + b + c.
+_BOUNDS = {"Y": (1, 1), "P": (0, 1), "W": (0, 0)}
 
 
 def _gcd3(a: int, b: int, c: int) -> int:
@@ -74,7 +76,7 @@ class Prototype:
     q: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _BOUNDS:
             raise ValueError(f"unknown prototype kind {self.kind!r}")
         check_discriminant(self.D)
         a, b, c, q = self.a, self.b, self.c, self.q
@@ -82,26 +84,13 @@ class Prototype:
             raise ValueError(
                 f"({a},{b},{c}) has discriminant {b * b - 4 * a * c}, not {self.D}"
             )
-        if a <= 0:
-            raise ValueError(f"prototype needs a > 0, got a={a}")
+        c_top, s_top = _BOUNDS[self.kind]
         s = a + b + c
-        if self.kind == "Y":
-            if c > 0:
-                raise ValueError(f"kind Y needs c <= 0, got c={c}")
-            if s > 0:
-                raise ValueError(f"kind Y needs a+b+c <= 0, got {s}")
-            if s == 0 and c == 0:
-                raise ValueError("kind Y excludes simultaneously terminal and degenerate")
-        elif self.kind == "P":
-            if c >= 0:
-                raise ValueError(f"kind P needs c < 0, got c={c}")
-            if s > 0:
-                raise ValueError(f"kind P needs a+b+c <= 0, got {s}")
-        else:
-            if c >= 0:
-                raise ValueError(f"kind W needs c < 0, got c={c}")
-            if s >= 0:
-                raise ValueError(f"kind W needs a+b+c < 0, got {s}")
+        if not (a > 0 and c < c_top and s < s_top and (c != 0 or s != 0)):
+            raise ValueError(
+                f"({a},{b},{c}) is not a kind {self.kind} triple: it needs a > 0, "
+                f"c < {c_top}, a+b+c < {s_top} and not c = a+b+c = 0"
+            )
         m = self.modulus
         if not 0 <= q < m:
             raise ValueError(f"residue q={q} outside Z/{m}")
@@ -132,18 +121,12 @@ class Prototype:
         return f"{self.kind}({self.a},{self.b},{self.c},{self.q})"
 
 
-def _identified_partner(kind: str, a: int, b: int, c: int) -> tuple[int, int, int] | None:
-    if a + b + c == 0:
-        return (-c, -b, -a)
-    if kind == "Y" and c == 0:
-        return (-b - a, b, 0)
-    return None
-
-
 def _canonical_triple(kind: str, a: int, b: int, c: int) -> tuple[int, int, int]:
-    other = _identified_partner(kind, a, b, c)
-    if other is not None and other < (a, b, c):
-        return other
+    """The smaller of (a, b, c) and the triple it is identified with, if any."""
+    if a + b + c == 0:
+        return min((a, b, c), (-c, -b, -a))
+    if kind == "Y" and c == 0:
+        return min((a, b, c), (-b - a, b, 0))
     return (a, b, c)
 
 
@@ -188,8 +171,9 @@ def _w_cusps(D: int):
     The residues are the q mod m = gcd(a, c) coprime to g = gcd(a, b, c),
     and g divides m, so n = phi(g) * m / g.
     """
+    c_top, s_top = _BOUNDS["W"]
     for a, b, c in _triples(D):
-        if c < 0 and a + b + c < 0:
+        if c < c_top and a + b + c < s_top:
             m = math.gcd(a, c)
             g = math.gcd(m, b)
             yield a, b, c, euler_phi(g) * (m // g)
@@ -219,9 +203,10 @@ def _enumerate(D: int, kind: str) -> tuple[Prototype, ...]:
     canonical partner does too, and q runs over the residues mod the
     kind's modulus coprime to gcd(a, b, c): what __post_init__ checks.
     """
+    c_top, s_top = _BOUNDS[kind]
     seen = set()
     for a, b, c in _triples(D):
-        if (kind != "Y" and c == 0) or (kind == "W" and a + b + c == 0):
+        if c >= c_top or a + b + c >= s_top:
             continue
         triple = _canonical_triple(kind, a, b, c)
         g = _gcd3(*triple)
@@ -237,7 +222,7 @@ def enumerate_prototypes(D: int, kind: str = "W") -> list[Prototype]:
     """All canonical prototypes of the given kind, sorted by (a, b, c, q)."""
     check_discriminant(D)
     kind = kind.upper()
-    if kind not in KINDS:
+    if kind not in _BOUNDS:
         raise ValueError(f"unknown prototype kind {kind!r}")
     return list(_enumerate(D, kind))
 
@@ -384,33 +369,22 @@ def orbits(D: int) -> list[list[Prototype]]:
     terminal one.  Ordered by smallest member.
     """
     protos = enumerate_prototypes(D, "Y")
-    if is_square(D):
-        chains = []
-        covered = set()
-        for head in protos:
-            if not head.is_degenerate:
-                continue
-            chain = [head]
-            while not chain[-1].is_terminal:
-                chain.append(next_prototype(chain[-1]))
-            chains.append(chain)
-            covered.update(chain)
-        assert covered == set(protos)
-        return sorted(chains, key=lambda ch: min(p.abcq for p in ch))
-    cycles = []
-    done = set()
+    square = is_square(D)
+    walks = []
+    seen = set()
     for start in protos:
-        if start in done:
+        if start in seen or (square and not start.is_degenerate):
             continue
-        cycle = [start]
-        done.add(start)
-        cur = next_prototype(start)
-        while cur != start:
-            cycle.append(cur)
-            done.add(cur)
-            cur = next_prototype(cur)
-        cycles.append(cycle)
-    return sorted(cycles, key=lambda cyc: min(p.abcq for p in cyc))
+        walk = [start]
+        while not walk[-1].is_terminal:
+            nxt = next_prototype(walk[-1])
+            if nxt == start:
+                break
+            walk.append(nxt)
+        seen.update(walk)
+        walks.append(walk)
+    assert seen == set(protos)
+    return sorted(walks, key=lambda walk: min(p.abcq for p in walk))
 
 
 def prototype_to_json(p: Prototype) -> dict:

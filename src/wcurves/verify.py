@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import boundary, euler, reference, siegelveech
-from .exact import is_discriminant, is_square
+from .exact import decompose_discriminant, is_discriminant, is_square
 from .prototypes import (
     _spin,
     _spin_applies,
@@ -76,33 +76,32 @@ def _check_enumeration(D: int, rec: _Rec) -> None:
 def _check_dynamics(D: int, rec: _Rec) -> None:
     ys = enumerate_prototypes(D, "Y")
     square = is_square(D)
+    nexts = []
     for p in ys:
-        if not p.is_terminal:
-            rec.check("prev_of_next", prev_prototype(next_prototype(p)) == p, str(p))
-        if not p.is_degenerate:
-            rec.check("next_of_prev", next_prototype(prev_prototype(p)) == p, str(p))
-            rec.check("t_involutive", t_involution(t_involution(p)) == p, str(p))
+        nxt = None if p.is_terminal else next_prototype(p)
+        prv = None if p.is_degenerate else prev_prototype(p)
+        if nxt is not None:
+            nexts.append(nxt)
+            rec.check("prev_of_next", prev_prototype(nxt) == p, str(p))
+        if prv is not None:
+            tp = t_involution(p)
+            rec.check("next_of_prev", next_prototype(prv) == p, str(p))
+            rec.check("t_involutive", t_involution(tp) == p, str(p))
             rec.check("multiplicity_positive", multiplicity(p) >= 1, str(p))
-            if not p.is_terminal:
-                rec.check(
-                    "t_next_is_prev_t",
-                    t_involution(next_prototype(p)) == prev_prototype(t_involution(p)),
-                    str(p),
-                )
+            if nxt is not None:
+                rec.check("t_next_is_prev_t", t_involution(nxt) == prev_prototype(tp), str(p))
         if p.is_terminal or p.is_initial:
             rec.check("boundary_multiplicity", p.is_degenerate or multiplicity(p) == 1, str(p))
         rec.check("orbifold_order_positive", orbifold_order(p) >= 1, str(p))
         if not square:
             lam = lambda_of(p)
-            nxt = lambda_of(next_prototype(p))
             want = lam - 1 if (lam - 2).sign1() >= 0 else (lam - 1).inverse()
-            rec.check("lambda_next", nxt == want, str(p))
-            prv = lambda_of(prev_prototype(p))
+            rec.check("lambda_next", lambda_of(nxt) == want, str(p))
             want = lam + 1 if (lam + 1).norm() <= 0 else (lam + 1) / lam
-            rec.check("lambda_prev", prv == want, str(p))
+            rec.check("lambda_prev", lambda_of(prv) == want, str(p))
             rec.check("lambda_norm", lam.norm() == Fraction(p.c, p.a), str(p))
     if not square:
-        rec.check("next_permutes", {next_prototype(p) for p in ys} == set(ys))
+        rec.check("next_permutes", set(nexts) == set(ys))
     chains = orbits(D)
     rec.check("orbits_cover", sum(len(ch) for ch in chains) == len(ys))
 
@@ -129,7 +128,7 @@ def _check_fibers(D: int, rec: _Rec) -> None:
         back = from_splitting_prototype(*to_splitting_prototype(w))
         rec.check("splitting_round_trip", back == w, str(w))
     if _spin_applies(D):
-        _, f = euler.decompose_discriminant(D)
+        _, f = decompose_discriminant(D)
         for w in ws:
             base = spin(w)
             m = w.modulus
