@@ -6,143 +6,18 @@ counts, the boundary cusp complex with its intersection ledger, and
 cylinder-counting (Siegel-Veech) constants.
 """
 
-from .boundary import (
-    UNDETERMINED,
-    CohClass,
-    CuspComplex,
-    build_complex,
-    export_dot,
-    fundamental_class,
-    intersect,
-)
-from .euler import (
-    ConsistencyCheck,
-    EulerReport,
-    chi_P,
-    chi_Q,
-    chi_Q_via_rm_prototypes,
-    chi_S,
-    chi_W,
-    chi_W_components,
-    chi_X,
-    consistency_chain,
-    euler_report,
-    h2,
-    h_table,
-    lyapunov_lambda2,
-    num_components,
-    one_cylinder_cusps,
-    psi,
-    rm_prototypes,
-    zeta_minus_one,
-)
-from .exact import (
-    QuadNum,
-    check_discriminant,
-    decompose_discriminant,
-    divisors,
-    euler_phi,
-    is_discriminant,
-    is_square,
-    kronecker,
-    mobius,
-    sigma,
-)
-from .prototypes import (
-    Prototype,
-    canonical,
-    enumerate_prototypes,
-    from_splitting_prototype,
-    lambda_of,
-    multiplicity,
-    next_prototype,
-    orbifold_order,
-    orbits,
-    prev_prototype,
-    prototype_from_json,
-    prototype_to_json,
-    spin,
-    t_involution,
-    to_splitting_prototype,
-    y_image,
-)
-from .siegelveech import (
-    SvReport,
-    billiards_coefficient,
-    billiards_constant,
-    sv_constant,
-    sv_constant_components,
-    sv_report,
-    unfolding_area,
-    unfolding_prototype,
-    v_of_prototype,
-)
-from .verify import DiscriminantReport, verify_discriminant, verify_range
+from . import boundary, euler, exact, prototypes, siegelveech, verify
+from .boundary import *
+from .euler import *
+from .exact import *
+from .prototypes import *
+from .siegelveech import *
+from .verify import *
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "CohClass",
-    "ConsistencyCheck",
-    "CuspComplex",
-    "DiscriminantReport",
-    "EulerReport",
-    "Prototype",
-    "QuadNum",
-    "SvReport",
-    "UNDETERMINED",
-    "billiards_coefficient",
-    "billiards_constant",
-    "build_complex",
-    "canonical",
-    "check_discriminant",
-    "chi_P",
-    "chi_Q",
-    "chi_Q_via_rm_prototypes",
-    "chi_S",
-    "chi_W",
-    "chi_W_components",
-    "chi_X",
-    "consistency_chain",
-    "decompose_discriminant",
-    "divisors",
-    "enumerate_prototypes",
-    "euler_phi",
-    "euler_report",
-    "export_dot",
-    "from_splitting_prototype",
-    "fundamental_class",
-    "h2",
-    "h_table",
-    "intersect",
-    "is_discriminant",
-    "is_square",
-    "kronecker",
-    "lambda_of",
-    "lyapunov_lambda2",
-    "mobius",
-    "multiplicity",
-    "next_prototype",
-    "num_components",
-    "one_cylinder_cusps",
-    "orbifold_order",
-    "orbits",
-    "prev_prototype",
-    "prototype_from_json",
-    "prototype_to_json",
-    "psi",
-    "rm_prototypes",
-    "sigma",
-    "spin",
-    "sv_constant",
-    "sv_constant_components",
-    "sv_report",
-    "t_involution",
-    "to_splitting_prototype",
-    "unfolding_area",
-    "unfolding_prototype",
-    "v_of_prototype",
-    "verify_discriminant",
-    "verify_range",
-    "y_image",
+    name
+    for layer in (boundary, euler, exact, prototypes, siegelveech, verify)
+    for name in layer.__all__
 ]

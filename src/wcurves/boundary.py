@@ -105,12 +105,6 @@ class CuspComplex:
                 return node
         raise KeyError(node_id)
 
-    def junction(self, p: Prototype) -> JunctionEdge:
-        for edge in self.junctions:
-            if edge.prototype == p:
-                return edge
-        raise KeyError(str(p))
-
     def tau(self, node_id: str) -> str:
         """Image of a curve under the orientation-reversing symmetry."""
         if node_id == "S1":

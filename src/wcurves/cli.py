@@ -272,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regenerate", action="store_true",
                    help="write table1.csv and table2.csv")
     p.add_argument("--dmax", type=int, default=100)
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.add_argument("--output", metavar="PATH",
                    help="row sink for --sv, directory for --regenerate")
     p.set_defaults(func=_cmd_tables)

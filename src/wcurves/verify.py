@@ -189,6 +189,7 @@ def _check_boundary(D: int, rec: _Rec) -> None:
             rec.check("tau_closed", cx.tau(n.id) in node_ids, n.id)
     if _spin_applies(D):
         square = is_square(D)
+        by_prototype = {e.prototype: e for e in cx.junctions}
         for e in cx.junctions:
             p = e.prototype
             if p.is_degenerate:
@@ -197,7 +198,7 @@ def _check_boundary(D: int, rec: _Rec) -> None:
             if square and p.is_terminal:
                 lhs += 1
             tp = t_involution(p)
-            rhs = sum(1 for w in cx.junction(tp).w_fiber if spin(w) == 0)
+            rhs = sum(1 for w in by_prototype[tp].w_fiber if spin(w) == 0)
             rec.check("spin_balance", lhs == rhs, f"{p}: {lhs} != {rhs}")
 
 
