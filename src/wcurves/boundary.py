@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from .euler import _one_cylinder, chi_X
 from .exact import (
@@ -99,11 +100,12 @@ class CuspComplex:
     junctions: tuple[JunctionEdge, ...]
     s1s2_points: int | None
 
+    @cached_property
+    def _curves_by_id(self) -> dict[str, CurveNode]:
+        return {node.id: node for node in self.curves}
+
     def curve(self, node_id: str) -> CurveNode:
-        for node in self.curves:
-            if node.id == node_id:
-                return node
-        raise KeyError(node_id)
+        return self._curves_by_id[node_id]
 
     def tau(self, node_id: str) -> str:
         """Image of a curve under the orientation-reversing symmetry."""
@@ -236,137 +238,112 @@ def _ledger_applies(D: int) -> bool:
     return D >= 5 and not (is_square(D) and math.isqrt(D) < 4)
 
 
-def _ledger_regime(D: int) -> str:
+# Boundary pairings for nonsquare D: (g1, g2, multiple of chi_X(D), u).  In
+# both tables u is the coefficient of the unknown u that the ledger leaves open.
+_NONSQUARE_PAIRINGS = (
+    ("B", "B", -15, 0),
+    ("B0", "B0", Fraction(-15, 2), -1),
+    ("B1", "B1", Fraction(-15, 2), -1),
+    ("B0", "B1", 0, 1),
+)
+
+# Boundary pairings for square D = d^2: (g1, g2, c3, c2, c1, k, u) stands for
+# (c3 d^3 + c2 d^2 + c1 d) * s + k * phi(d)/2 with s = mobius_weighted_sum(1, d).
+_SQUARE_PAIRINGS = (
+    ("S1", "S1", 0, Fraction(-1, 12), 0, 0, 0),
+    ("S2", "S2", 0, Fraction(-1, 12), 0, 0, 0),
+    ("S1", "S2", 0, 0, Fraction(-1, 2), 1, 0),
+    ("S1", "P", 0, Fraction(-5, 24), Fraction(1, 4), 0, 0),
+    ("S2", "P", 0, Fraction(-5, 24), Fraction(1, 4), 0, 0),
+    ("P", "P", Fraction(-5, 24), Fraction(11, 24), Fraction(-1, 4), 0, 0),
+    ("S1", "W", 0, Fraction(-5, 24), Fraction(3, 4), -1, 0),
+    ("S2", "W", 0, Fraction(-1, 8), Fraction(1, 4), 0, 0),
+    ("P", "W", Fraction(-5, 24), Fraction(2, 3), Fraction(-1, 2), 0, 0),
+    ("W", "W", Fraction(-5, 24), Fraction(19, 24), Fraction(-3, 4), 0, 0),
+    ("S1", "W0", 0, Fraction(-7, 48), Fraction(3, 16), 0, 0),
+    ("S2", "W0", 0, Fraction(-1, 16), Fraction(1, 16), 0, 0),
+    ("P", "W0", Fraction(-5, 48), Fraction(11, 48), Fraction(-1, 8), 0, 0),
+    ("S1", "W1", 0, Fraction(-1, 16), Fraction(9, 16), -1, 0),
+    ("S2", "W1", 0, Fraction(-1, 16), Fraction(3, 16), 0, 0),
+    ("P", "W1", Fraction(-5, 48), Fraction(7, 16), Fraction(-3, 8), 0, 0),
+    ("W0", "W0", Fraction(-5, 48), Fraction(7, 24), Fraction(-3, 16), 0, -1),
+    ("W1", "W1", Fraction(-5, 48), Fraction(1, 2), Fraction(-9, 16), 0, -1),
+    ("W0", "W1", 0, 0, 0, 0, 1),
+)
+
+
+@lru_cache(maxsize=1)
+def _ledger(D: int):
+    """chi_X(D), the classes of D by name, and the pairings of their generators.
+
+    A pairing is keyed by its two boundary generators in either order and
+    stored as (const, ucoeff), worth const + ucoeff * u for the unknown u.
+    Nonsquare W and P share the generator B (B0 + B1 when W splits); square
+    P, S1, S2 and W (W0, W1 when split) each have their own.  The cache holds
+    one discriminant: `fundamental_class` and `intersect` ask it many times per D.
+    """
     check_discriminant(D, minimum=5)
     if not _ledger_applies(D):
-        raise ValueError(
-            f"the intersection ledger needs square D = d^2 with d >= 4, got {D}"
-        )
-    return "square" if is_square(D) else "nonsquare"
+        raise ValueError(f"the intersection ledger needs square D = d^2 with d >= 4, got {D}")
+    square, split, d = is_square(D), _spin_applies(D), math.isqrt(D)
+    inv = Fraction(1, d) if square else Fraction(0)
+    g = "W" if square else "B"
+    one = Fraction(1)
+    spins = ((g + "0", one),), ((g + "1", one),)
+    whole = spins[0] + spins[1] if split else ((g, one),)
+    p = Fraction(5, 2) - 3 * inv
 
+    def w_class(weight: Fraction, b: tuple) -> CohClass:
+        return CohClass(D, Fraction(3, 4) * weight, Fraction(9, 4) * weight, b)
 
-_NONSQUARE_NAMES = ("W", "P", "W0", "W1")
-_SQUARE_NAMES = ("W", "P", "S1", "S2", "W0", "W1")
+    classes = {
+        "W": w_class(2 - 4 * inv, whole),
+        "P": CohClass(D, p, p, (("P", one),) if square else whole),
+    }
+    if split:
+        classes["W0"] = w_class(1 - inv, spins[0])
+        classes["W1"] = w_class(1 - 3 * inv, spins[1])
+    if square:
+        classes["S1"] = CohClass(D, 6 * inv, Fraction(0), (("S1", one),))
+        classes["S2"] = CohClass(D, Fraction(0), 6 * inv, (("S2", one),))
+
+    chi = chi_X(D)
+    if square:
+        s, half_phi = mobius_weighted_sum(1, d), Fraction(euler_phi(d), 2)
+        rows = [
+            (g1, g2, (c3 * d**3 + c2 * d * d + c1 * d) * s + k * half_phi, u)
+            for g1, g2, c3, c2, c1, k, u in _SQUARE_PAIRINGS
+        ]
+    else:
+        rows = [(g1, g2, k * chi, u) for g1, g2, k, u in _NONSQUARE_PAIRINGS]
+    gens = {gen for c in classes.values() for gen, _ in c.b}
+    pairings = {}
+    for g1, g2, const, u in rows:
+        if g1 in gens and g2 in gens:
+            pairings[g1, g2] = pairings[g2, g1] = (const, Fraction(u))
+    return chi, classes, pairings
 
 
 def fundamental_class(D: int, name: str) -> CohClass:
     """Compactified fundamental class of W, P, W0, W1 or (square D) S1, S2."""
-    regime = _ledger_regime(D)
+    classes = _ledger(D)[1]
     name = name.upper()
-    split = _spin_applies(D)
-    if regime == "nonsquare":
-        if name not in _NONSQUARE_NAMES:
-            raise ValueError(f"no class {name!r} for nonsquare D")
-        if name == "W":
-            b = (("B0", Fraction(1)), ("B1", Fraction(1))) if split else (("B", Fraction(1)),)
-            return CohClass(D, Fraction(3, 2), Fraction(9, 2), b)
-        if name == "P":
-            b = (("B0", Fraction(1)), ("B1", Fraction(1))) if split else (("B", Fraction(1)),)
-            return CohClass(D, Fraction(5, 2), Fraction(5, 2), b)
-        if not split:
-            raise ValueError(f"no spin components for D={D}")
-        eps = name[1]
-        return CohClass(D, Fraction(3, 4), Fraction(9, 4), ((f"B{eps}", Fraction(1)),))
-    d = math.isqrt(D)
-    if name not in _SQUARE_NAMES:
-        raise ValueError(f"no class {name!r} for square D")
-    if name == "S1":
-        return CohClass(D, Fraction(6, d), Fraction(0), (("S1", Fraction(1)),))
-    if name == "S2":
-        return CohClass(D, Fraction(0), Fraction(6, d), (("S2", Fraction(1)),))
-    if name == "P":
-        coeff = Fraction(5, 2) - Fraction(3, d)
-        return CohClass(D, coeff, coeff, (("P", Fraction(1)),))
-    if name == "W":
-        scale = 1 - Fraction(2, d)
-        b = (("W0", Fraction(1)), ("W1", Fraction(1))) if split else (("W", Fraction(1)),)
-        return CohClass(D, Fraction(3, 2) * scale, Fraction(9, 2) * scale, b)
-    if not split:
-        raise ValueError(f"no spin components for D={D}")
-    if name == "W0":
-        scale = 1 - Fraction(1, d)
-        return CohClass(D, Fraction(3, 4) * scale, Fraction(9, 4) * scale, (("W0", Fraction(1)),))
-    scale = 1 - Fraction(3, d)
-    return CohClass(D, Fraction(3, 4) * scale, Fraction(9, 4) * scale, (("W1", Fraction(1)),))
-
-
-def _gram(D: int) -> dict[tuple[str, str], tuple[Fraction, Fraction]]:
-    regime = _ledger_regime(D)
-    split = _spin_applies(D)
-    x = chi_X(D)
-    gram: dict[tuple[str, str], tuple[Fraction, Fraction]] = {}
-
-    def put(g1: str, g2: str, const: Fraction, ucoeff: int = 0) -> None:
-        gram[tuple(sorted((g1, g2)))] = (const, Fraction(ucoeff))
-
-    if regime == "nonsquare":
-        if split:
-            put("B0", "B0", -Fraction(15, 2) * x, -1)
-            put("B1", "B1", -Fraction(15, 2) * x, -1)
-            put("B0", "B1", Fraction(0), 1)
-        else:
-            put("B", "B", -15 * x)
-        return gram
-    d = math.isqrt(D)
-    s = mobius_weighted_sum(1, d)
-    half_phi = Fraction(euler_phi(d), 2)
-    put("S1", "S1", -Fraction(d * d, 12) * s)
-    put("S2", "S2", -Fraction(d * d, 12) * s)
-    put("S1", "S2", -Fraction(d, 2) * s + half_phi)
-    put("S1", "P", (-Fraction(5 * d * d, 24) + Fraction(d, 4)) * s)
-    put("S2", "P", (-Fraction(5 * d * d, 24) + Fraction(d, 4)) * s)
-    put(
-        "P",
-        "P",
-        (-Fraction(5 * d**3, 24) + Fraction(11 * d * d, 24) - Fraction(d, 4)) * s,
-    )
-    if not split:
-        put("S1", "W", (-Fraction(5 * d * d, 24) + Fraction(3 * d, 4)) * s - half_phi)
-        put("S2", "W", (-Fraction(d * d, 8) + Fraction(d, 4)) * s)
-        put(
-            "P",
-            "W",
-            (-Fraction(5 * d**3, 24) + Fraction(2 * d * d, 3) - Fraction(d, 2)) * s,
-        )
-        put(
-            "W",
-            "W",
-            (-Fraction(5 * d**3, 24) + Fraction(19 * d * d, 24) - Fraction(3 * d, 4)) * s,
-        )
-        return gram
-    put("S1", "W0", (-Fraction(7 * d * d, 48) + Fraction(3 * d, 16)) * s)
-    put("S2", "W0", (-Fraction(d * d, 16) + Fraction(d, 16)) * s)
-    put(
-        "P",
-        "W0",
-        (-Fraction(5 * d**3, 48) + Fraction(11 * d * d, 48) - Fraction(d, 8)) * s,
-    )
-    put("S1", "W1", (-Fraction(d * d, 16) + Fraction(9 * d, 16)) * s - half_phi)
-    put("S2", "W1", (-Fraction(d * d, 16) + Fraction(3 * d, 16)) * s)
-    put(
-        "P",
-        "W1",
-        (-Fraction(5 * d**3, 48) + Fraction(7 * d * d, 16) - Fraction(3 * d, 8)) * s,
-    )
-    w_w0 = (-Fraction(5 * d**3, 48) + Fraction(7 * d * d, 24) - Fraction(3 * d, 16)) * s
-    w_w1 = (-Fraction(5 * d**3, 48) + Fraction(d * d, 2) - Fraction(9 * d, 16)) * s
-    put("W0", "W0", w_w0, -1)
-    put("W1", "W1", w_w1, -1)
-    put("W0", "W1", Fraction(0), 1)
-    return gram
+    if name not in classes:
+        listed = ", ".join(classes)
+        raise ValueError(f"no class {name!r} at D={D}; the classes at D={D} are {listed}")
+    return classes[name]
 
 
 def intersect(x: CohClass, y: CohClass):
     """Exact intersection pairing, or UNDETERMINED when not pinned down."""
     if x.D != y.D:
         raise ValueError(f"mixed discriminants {x.D} and {y.D}")
-    chi = chi_X(x.D)
+    chi, _, pairings = _ledger(x.D)
     value = (x.omega1 * y.omega2 + x.omega2 * y.omega1) * chi
-    gram = _gram(x.D)
     ucoeff = Fraction(0)
     for g1, c1 in x.b:
         for g2, c2 in y.b:
-            const, u = gram[tuple(sorted((g1, g2)))]
+            const, u = pairings[g1, g2]
             value += c1 * c2 * const
             ucoeff += c1 * c2 * u
     if ucoeff != 0:

@@ -33,15 +33,13 @@ def _discriminants(dmin: int, dmax: int):
 
 
 def _emit(text: str, output: str | None) -> None:
+    if text and not text.endswith("\n"):
+        text += "\n"
     if output is None:
         sys.stdout.write(text)
-        if text and not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(output, "w") as fh:
             fh.write(text)
-            if text and not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _csv(rows: list[list[str]]) -> str:
