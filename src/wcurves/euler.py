@@ -74,78 +74,81 @@ def h2(D: int) -> Fraction:
 def zeta_minus_one(d0: int) -> Fraction:
     """zeta_K(-1) for the real quadratic field of fundamental discriminant d0."""
     check_discriminant(d0, minimum=5)
-    if decompose_discriminant(d0) != (d0, 1) or is_square(d0):
+    if decompose_discriminant(d0) != (d0, 1):
         raise ValueError(f"{d0} is not a fundamental discriminant of a real field")
     return -h2(d0) / 12
+
+
+def _chis(D: int) -> dict[str, Fraction]:
+    """Every chi defined at the checked discriminant D, keyed by locus name.
+
+    X and W always (W is empty below 5), W0 and W1 where W splits by spin,
+    P and Q for D >= 4, and S (each of S1, S2) for square D with d >= 2.
+    """
+    if D == 1:
+        return {"X": Fraction(1, 36), "W": Fraction(0)}
+    if D == 4:
+        return {"X": Fraction(1, 6), "W": Fraction(0), "P": Fraction(-1, 6),
+                "Q": Fraction(-1, 6), "S": Fraction(-1, 2)}
+    d0, d = decompose_discriminant(D)
+    if d0 == 1:
+        s = mobius_weighted_sum(1, d)
+        chis = {
+            "X": Fraction(d**3, 72) * s,
+            "W": -Fraction(d * d * (d - 2), 16) * s,
+            "P": -Fraction(d * d * (5 * d - 6), 144) * s,
+            "Q": -Fraction(d * d * (5 * d - 6), 72) * s,
+            "S": -Fraction(d * d, 12) * s,
+        }
+        if _spin_applies(D):
+            chis["W0"] = -Fraction(d * d * (d - 1), 32) * s
+            chis["W1"] = -Fraction(d * d * (d - 3), 32) * s
+        return chis
+    x = 2 * d**3 * zeta_minus_one(d0) * mobius_weighted_sum(d0, d)
+    chis = {"X": x, "W": -Fraction(9, 2) * x, "P": -Fraction(5, 2) * x, "Q": -5 * x}
+    if _spin_applies(D):
+        chis["W0"] = chis["W1"] = chis["W"] / 2
+    return chis
 
 
 def chi_X(D: int) -> Fraction:
     """Euler characteristic of the modular surface of discriminant D."""
     check_discriminant(D)
-    if D == 1:
-        return Fraction(1, 36)
-    if D == 4:
-        return Fraction(1, 6)
-    d0, f = decompose_discriminant(D)
-    if d0 == 1:
-        return Fraction(f**3, 72) * mobius_weighted_sum(1, f)
-    return 2 * f**3 * zeta_minus_one(d0) * mobius_weighted_sum(d0, f)
+    return _chis(D)["X"]
 
 
 def chi_W(D: int) -> Fraction:
     """Euler characteristic of the Weierstrass boundary curve family."""
     check_discriminant(D)
-    if D < 5:
-        return Fraction(0)
-    d0, d = decompose_discriminant(D)
-    if d0 == 1:
-        return -Fraction(d * d * (d - 2), 16) * mobius_weighted_sum(1, d)
-    return -Fraction(9, 2) * chi_X(D)
+    return _chis(D)["W"]
 
 
 def chi_W_components(D: int) -> tuple[Fraction, Fraction]:
     """(chi of spin 0 part, chi of spin 1 part); needs D = 1 (mod 8), D != 9."""
     check_discriminant(D, minimum=5)
-    if not _spin_applies(D):
+    chis = _chis(D)
+    if "W0" not in chis:
         raise ValueError(f"W is connected for D={D}: no spin components")
-    d0, d = decompose_discriminant(D)
-    if d0 == 1:
-        s = mobius_weighted_sum(1, d)
-        return (
-            -Fraction(d * d * (d - 1), 32) * s,
-            -Fraction(d * d * (d - 3), 32) * s,
-        )
-    half = chi_W(D) / 2
-    return (half, half)
+    return chis["W0"], chis["W1"]
 
 
 def chi_P(D: int) -> Fraction:
     check_discriminant(D, minimum=4)
-    if D == 4:
-        return Fraction(-1, 6)
-    d0, d = decompose_discriminant(D)
-    if d0 == 1:
-        return -Fraction(d * d * (5 * d - 6), 144) * mobius_weighted_sum(1, d)
-    return -Fraction(5, 2) * chi_X(D)
+    return _chis(D)["P"]
 
 
 def chi_Q(D: int) -> Fraction:
     check_discriminant(D, minimum=4)
-    d0, d = decompose_discriminant(D)
-    if d0 == 1:
-        return -Fraction(d * d * (5 * d - 6), 72) * mobius_weighted_sum(1, d)
-    return -5 * chi_X(D)
+    return _chis(D)["Q"]
 
 
 def chi_S(D: int) -> Fraction:
     """Euler characteristic of each of S1, S2; square D = d^2, d >= 2."""
     check_discriminant(D, minimum=4)
-    d = math.isqrt(D)
-    if d * d != D:
+    chis = _chis(D)
+    if "S" not in chis:
         raise ValueError(f"S1 and S2 exist only for square D, got {D}")
-    if d == 2:
-        return Fraction(-1, 2)
-    return -Fraction(d * d, 12) * mobius_weighted_sum(1, d)
+    return chis["S"]
 
 
 def psi(m: int) -> Fraction:
@@ -196,16 +199,8 @@ def one_cylinder_cusps(d: int) -> tuple[int, int | None, int | None]:
     """
     if d <= 3:
         raise ValueError(f"one-cylinder counts need side length d > 3, got {d}")
-    s = mobius_weighted_sum(1, d)
-    total = Fraction(d * d, 6) * s - Fraction(euler_phi(d), 2)
-    assert total.denominator == 1 and total >= 0
-    if d % 2 == 0:
-        return (int(total), None, None)
-    s0 = Fraction(d * d, 24) * s
-    s1 = Fraction(d * d, 8) * s - Fraction(euler_phi(d), 2)
-    assert s0.denominator == 1 and s1.denominator == 1
-    assert 0 <= s0 and 0 <= s1 and s0 + s1 == total
-    return (int(total), int(s0), int(s1))
+    total, split = _one_cylinder(d * d)
+    return (total, *(split or (None, None)))
 
 
 def _one_cylinder(D: int) -> tuple[int | None, tuple[int, int] | None]:
@@ -219,8 +214,16 @@ def _one_cylinder(D: int) -> tuple[int | None, tuple[int, int] | None]:
         return 0, None
     if d == 3:
         return None, None
-    total, s0, s1 = one_cylinder_cusps(d)
-    return total, None if s0 is None else (s0, s1)
+    s = mobius_weighted_sum(1, d)
+    total = Fraction(d * d, 6) * s - Fraction(euler_phi(d), 2)
+    assert total.denominator == 1 and total >= 0
+    if not _spin_applies(D):
+        return int(total), None
+    s0 = Fraction(d * d, 24) * s
+    s1 = Fraction(d * d, 8) * s - Fraction(euler_phi(d), 2)
+    assert s0.denominator == 1 and s1.denominator == 1
+    assert 0 <= s0 and 0 <= s1 and s0 + s1 == total
+    return int(total), (int(s0), int(s1))
 
 
 def lyapunov_lambda2(stratum: str) -> Fraction:
@@ -302,11 +305,8 @@ def consistency_chain(D: int) -> list[ConsistencyCheck]:
         checks.append(ConsistencyCheck("q_doubles_p", chi_Q(D), 2 * chi_P(D)))
     n_w = len(enumerate_prototypes(D, "W"))
     n_p = len(enumerate_prototypes(D, "P"))
-    if square:
-        n_term = sum(1 for p in enumerate_prototypes(D, "Y") if p.is_terminal)
-        checks.append(ConsistencyCheck("cusp_counts", Fraction(n_p), Fraction(n_w + n_term)))
-    else:
-        checks.append(ConsistencyCheck("cusp_counts", Fraction(n_p), Fraction(n_w)))
+    n_term = sum(1 for p in enumerate_prototypes(D, "Y") if p.is_terminal) if square else 0
+    checks.append(ConsistencyCheck("cusp_counts", Fraction(n_p), Fraction(n_w + n_term)))
     return checks
 
 
@@ -359,19 +359,19 @@ class EulerReport:
 def euler_report(D: int) -> EulerReport:
     check_discriminant(D)
     d0, f = decompose_discriminant(D)
-    square = d0 == 1
+    chis = _chis(D)
     one_cyl, one_spin = _one_cylinder(D)
     return EulerReport(
         D=D,
         d0=d0,
         f=f,
         h=h2(D),
-        chi_x=chi_X(D),
-        chi_w=chi_W(D),
-        chi_w_components=chi_W_components(D) if _spin_applies(D) else None,
-        chi_p=chi_P(D) if D >= 4 else None,
-        chi_q=chi_Q(D) if D >= 4 else None,
-        chi_s=chi_S(D) if square and f >= 2 else None,
+        chi_x=chis["X"],
+        chi_w=chis["W"],
+        chi_w_components=(chis["W0"], chis["W1"]) if "W0" in chis else None,
+        chi_p=chis.get("P"),
+        chi_q=chis.get("Q"),
+        chi_s=chis.get("S"),
         components=num_components(D),
         cusps_two_cylinder=sum(n for *_, n in _w_cusps(D)),
         cusps_one_cylinder=one_cyl,
@@ -381,8 +381,4 @@ def euler_report(D: int) -> EulerReport:
 
 def h_table(dmin: int, dmax: int) -> list[tuple[int, Fraction]]:
     """Rows (D, H(2, D)) for discriminants in [dmin, dmax], 0 allowed."""
-    rows = []
-    for D in range(max(dmin, 0), dmax + 1):
-        if D % 4 in (0, 1):
-            rows.append((D, h2(D)))
-    return rows
+    return [(D, h2(D)) for D in range(max(dmin, 0), dmax + 1) if D % 4 in (0, 1)]

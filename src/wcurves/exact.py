@@ -161,15 +161,18 @@ def decompose_discriminant(D: int) -> tuple[int, int]:
 
 
 def mobius_weighted_sum(d0: int, n: int) -> Fraction:
-    """Sum over r | n of kronecker(d0, r) * mobius(r) / r^2."""
+    """Sum over r | n of kronecker(d0, r) * mobius(r) / r^2.
+
+    Computed as its Euler product over the primes p | n of
+    1 - kronecker(d0, p) / p^2.
+    """
     if n < 1:
         raise ValueError(f"mobius_weighted_sum needs n >= 1, got {n}")
-    total = Fraction(0)
-    for r in divisors(n):
-        mu = mobius(r)
-        if mu:
-            total += Fraction(mu * kronecker(d0, r), r * r)
-    return total
+    num = den = 1
+    for p, _ in _factor(n):
+        num *= p * p - _kronecker_prime(d0, p)
+        den *= p * p
+    return Fraction(num, den)
 
 
 def _as_fraction(x) -> Fraction:

@@ -214,12 +214,7 @@ def _check_ledger(D: int, rec: _Rec) -> None:
     if not square:
         rec.check("ledger_w_dot_p", pair(fc("W"), fc("P")) == 0)
         if split:
-            rec.check("ledger_w0_dot_p", pair(fc("W0"), fc("P")) == 0)
             rec.check("ledger_w1_dot_p", pair(fc("W1"), fc("P")) == 0)
-            rec.check(
-                "ledger_w0_squared_open",
-                pair(fc("W0"), fc("W0")) is boundary.UNDETERMINED,
-            )
     else:
         d = math.isqrt(D)
         one = euler.one_cylinder_cusps(d)
@@ -234,11 +229,12 @@ def _check_ledger(D: int, rec: _Rec) -> None:
             rec.check("ledger_s1_dot_w0", pair(fc("S1"), fc("W0")) == one[1])
             rec.check("ledger_s1_dot_w1", pair(fc("S1"), fc("W1")) == one[2])
             rec.check("ledger_w0_dot_s2", pair(fc("W0"), fc("S2")) == 0)
-            rec.check("ledger_w0_dot_p", pair(fc("W0"), fc("P")) == 0)
-            rec.check(
-                "ledger_w0_squared_open",
-                pair(fc("W0"), fc("W0")) is boundary.UNDETERMINED,
-            )
+    if split:
+        rec.check("ledger_w0_dot_p", pair(fc("W0"), fc("P")) == 0)
+        rec.check(
+            "ledger_w0_squared_open",
+            pair(fc("W0"), fc("W0")) is boundary.UNDETERMINED,
+        )
 
 
 def verify_discriminant(D: int) -> DiscriminantReport:

@@ -241,3 +241,18 @@ def test_single_d_mixed_with_a_range_is_an_error(capsys):
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), argv
         assert "--d" in lines[0] and "--dmin or --dmax" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("euler --dmin 5 --dmax 4", "empty range: --dmin 5 > --dmax 4"),
+        ("euler --dmin 2 --dmax 3", "no discriminants in [2, 3]"),
+        ("sv --dmin 1 --dmax 4", "no nonsquare discriminants >= 5 in [1, 4]"),
+    ],
+)
+def test_range_without_discriminants_is_an_error(capsys, argv, message):
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -1,8 +1,8 @@
 """Exact CLI output, pinned byte for byte.
 
 The cases cover the sv text format, an undefined one-cylinder count
-(D = 9), the spin split of the one-cylinder cusps (D = 81) and the
-boundary text format.  The euler and sv commands share one renderer, and
+(D = 9), the spin split of the one-cylinder cusps (D = 81), the
+boundary text format and the hseries text and json formats.  The euler and sv commands share one renderer, and
 the boundary complex takes its one-cylinder data from `euler`, so these
 strings hold the output of those shared paths fixed.
 """
@@ -142,6 +142,59 @@ junctions:
 s1s2_points: 3
 """
 
+HSERIES_16_TEXT = """\
+h2(0) = -1/120
+h2(1) = -1/12
+h2(4) = -7/12
+h2(5) = -2/5
+h2(8) = -1
+h2(9) = -25/12
+h2(12) = -2
+h2(13) = -2
+h2(16) = -55/12
+"""
+
+HSERIES_16_JSON = """\
+[
+  {
+    "D": 0,
+    "h2": "-1/120"
+  },
+  {
+    "D": 1,
+    "h2": "-1/12"
+  },
+  {
+    "D": 4,
+    "h2": "-7/12"
+  },
+  {
+    "D": 5,
+    "h2": "-2/5"
+  },
+  {
+    "D": 8,
+    "h2": "-1"
+  },
+  {
+    "D": 9,
+    "h2": "-25/12"
+  },
+  {
+    "D": 12,
+    "h2": "-2"
+  },
+  {
+    "D": 13,
+    "h2": "-2"
+  },
+  {
+    "D": 16,
+    "h2": "-55/12"
+  }
+]
+"""
+
 
 @pytest.mark.parametrize(
     "argv, expected",
@@ -155,6 +208,8 @@ s1s2_points: 3
         ("euler --d 81 --format csv", EULER_81_CSV),
         ("boundary --d 9", BOUNDARY_9_TEXT),
         ("boundary --d 49", BOUNDARY_49_TEXT),
+        ("hseries --dmax 16 --format text", HSERIES_16_TEXT),
+        ("hseries --dmax 16 --format json", HSERIES_16_JSON),
     ],
 )
 def test_output_is_pinned(capsys, argv, expected):

@@ -132,7 +132,9 @@ def test_constructor_rejections():
     with pytest.raises(ValueError):
         Prototype("Y", 7, 1, -1, -1)
     with pytest.raises(ValueError):
-        Prototype("Y", 5, 1, 1, -1)  # b*b - 4ac mismatch
+        Prototype("Y", 5, 1, 1, -1)  # a + b + c must be < 1
+    with pytest.raises(ValueError, match=r"^\(1,-3,-2\) has discriminant 17, not 21$"):
+        Prototype("W", 21, 1, -3, -2)
     with pytest.raises(ValueError):
         Prototype("Y", 8, -1, 0, 2)  # a must be positive
     with pytest.raises(ValueError):
