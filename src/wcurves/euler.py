@@ -254,10 +254,11 @@ def consistency_chain(D: int) -> list[ConsistencyCheck]:
     checks = []
     d0, f = decompose_discriminant(D)
     square = d0 == 1
+    chi = _chis(D)
     if D >= 5 and not square:
-        checks.append(ConsistencyCheck("euler_ratio", chi_W(D), -Fraction(9, 2) * chi_X(D)))
+        checks.append(ConsistencyCheck("euler_ratio", chi["W"], -Fraction(9, 2) * chi["X"]))
         checks.append(
-            ConsistencyCheck("chi_additivity", chi_W(D), chi_P(D) - 2 * chi_X(D))
+            ConsistencyCheck("chi_additivity", chi["W"], chi["P"] - 2 * chi["X"])
         )
         checks.append(
             ConsistencyCheck(
@@ -291,18 +292,17 @@ def consistency_chain(D: int) -> list[ConsistencyCheck]:
     if square and f > 2:
         checks.append(
             ConsistencyCheck(
-                "chi_additivity", chi_W(D), chi_P(D) - chi_S(D) - 2 * chi_X(D)
+                "chi_additivity", chi["W"], chi["P"] - chi["S"] - 2 * chi["X"]
             )
         )
     if _spin_applies(D):
-        c0, c1 = chi_W_components(D)
-        checks.append(ConsistencyCheck("component_sum", c0 + c1, chi_W(D)))
+        checks.append(ConsistencyCheck("component_sum", chi["W0"] + chi["W1"], chi["W"]))
     if D >= 4:
         checks.append(
-            ConsistencyCheck("rm_route", chi_Q(D), chi_Q_via_rm_prototypes(D))
+            ConsistencyCheck("rm_route", chi["Q"], chi_Q_via_rm_prototypes(D))
         )
     if D >= 5:
-        checks.append(ConsistencyCheck("q_doubles_p", chi_Q(D), 2 * chi_P(D)))
+        checks.append(ConsistencyCheck("q_doubles_p", chi["Q"], 2 * chi["P"]))
     n_w = len(enumerate_prototypes(D, "W"))
     n_p = len(enumerate_prototypes(D, "P"))
     n_term = sum(1 for p in enumerate_prototypes(D, "Y") if p.is_terminal) if square else 0

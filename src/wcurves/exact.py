@@ -184,19 +184,20 @@ def _as_fraction(x) -> Fraction:
 
 
 def _sign_at(rat: Fraction, rad: Fraction, disc: int) -> int:
-    s = math.isqrt(disc)
-    if s * s == disc:
-        v = rat + rad * s
-        return (v > 0) - (v < 0)
-    if rad == 0:
-        return (rat > 0) - (rat < 0)
-    if rat == 0:
-        return 1 if rad > 0 else -1
-    if (rat > 0) == (rad > 0):
-        return 1 if rat > 0 else -1
-    # mixed signs: sqrt(disc) is irrational, so the norm cannot vanish
-    big = rat if rat * rat - disc * rad * rad > 0 else rad
-    return 1 if big > 0 else -1
+    """Sign of rat + rad*sqrt(disc), decided in integers.
+
+    Multiplied by the positive product of the denominators, the value is
+    x + y*sqrt(disc).  When x and y differ in sign, the larger of x^2 and
+    disc*y^2 wins; they tie only where the value is 0, so for a square disc.
+    """
+    x = rat.numerator * rad.denominator
+    y = rad.numerator * rat.denominator
+    if x * y >= 0:
+        t = x + y
+        return (t > 0) - (t < 0)
+    n = x * x - disc * y * y
+    big = x if n > 0 else y
+    return ((big > 0) - (big < 0)) if n else 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,12 +213,22 @@ class QuadNum:
         object.__setattr__(self, "rat", _as_fraction(self.rat))
         object.__setattr__(self, "rad", _as_fraction(self.rad))
 
+    @staticmethod
+    def _new(disc: int, rat: Fraction, rad: Fraction) -> "QuadNum":
+        """A QuadNum built without __post_init__: disc already checked, Fraction coordinates."""
+        x = object.__new__(QuadNum)
+        put = object.__setattr__
+        put(x, "disc", disc)
+        put(x, "rat", rat)
+        put(x, "rad", rad)
+        return x
+
     @classmethod
     def sqrt(cls, disc: int) -> "QuadNum":
         return cls(disc, Fraction(0), Fraction(1))
 
     def galois_conjugate(self) -> "QuadNum":
-        return QuadNum(self.disc, self.rat, -self.rad)
+        return QuadNum._new(self.disc, self.rat, -self.rad)
 
     def norm(self) -> Fraction:
         return self.rat * self.rat - self.disc * self.rad * self.rad
@@ -251,78 +262,79 @@ class QuadNum:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError(f"{self} has norm zero and is not invertible")
-        return QuadNum(self.disc, self.rat / n, -self.rad / n)
+        return QuadNum._new(self.disc, self.rat / n, -self.rad / n)
 
-    def _operands(self, other):
-        if isinstance(other, QuadNum):
-            if self.disc == other.disc:
-                return self.disc, self.rat, self.rad, other.rat, other.rad
-            if other.rad == 0:
-                return self.disc, self.rat, self.rad, other.rat, Fraction(0)
-            if self.rad == 0:
-                return other.disc, self.rat, Fraction(0), other.rat, other.rad
-            raise ValueError(f"mixed discriminants {self.disc} and {other.disc}")
-        if isinstance(other, (int, Fraction)):
-            return self.disc, self.rat, self.rad, _as_fraction(other), Fraction(0)
-        return None
+    def _common_disc(self, other: "QuadNum") -> int:
+        """The disc of a result with another QuadNum; a rational one fits any disc."""
+        if self.disc == other.disc or other.rad == 0:
+            return self.disc
+        if self.rad == 0:
+            return other.disc
+        raise ValueError(f"mixed discriminants {self.disc} and {other.disc}")
 
     def __add__(self, other):
-        ops = self._operands(other)
-        if ops is None:
-            return NotImplemented
-        disc, ar, ad, br, bd = ops
-        return QuadNum(disc, ar + br, ad + bd)
+        if isinstance(other, QuadNum):
+            disc = self._common_disc(other)
+            return QuadNum._new(disc, self.rat + other.rat, self.rad + other.rad)
+        if isinstance(other, (int, Fraction)):
+            return QuadNum._new(self.disc, self.rat + other, self.rad)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        ops = self._operands(other)
-        if ops is None:
-            return NotImplemented
-        disc, ar, ad, br, bd = ops
-        return QuadNum(disc, ar - br, ad - bd)
+        if isinstance(other, QuadNum):
+            disc = self._common_disc(other)
+            return QuadNum._new(disc, self.rat - other.rat, self.rad - other.rad)
+        if isinstance(other, (int, Fraction)):
+            return QuadNum._new(self.disc, self.rat - other, self.rad)
+        return NotImplemented
 
     def __rsub__(self, other):
-        ops = self._operands(other)
-        if ops is None:
-            return NotImplemented
-        disc, ar, ad, br, bd = ops
-        return QuadNum(disc, br - ar, bd - ad)
+        if isinstance(other, (int, Fraction)):
+            return QuadNum._new(self.disc, other - self.rat, -self.rad)
+        return NotImplemented
 
     def __mul__(self, other):
-        ops = self._operands(other)
-        if ops is None:
-            return NotImplemented
-        disc, ar, ad, br, bd = ops
-        return QuadNum(disc, ar * br + disc * ad * bd, ar * bd + ad * br)
+        if isinstance(other, QuadNum):
+            disc = self._common_disc(other)
+            ar, ad, br, bd = self.rat, self.rad, other.rat, other.rad
+            return QuadNum._new(disc, ar * br + disc * ad * bd, ar * bd + ad * br)
+        if isinstance(other, (int, Fraction)):
+            return QuadNum._new(self.disc, self.rat * other, self.rad * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        ops = self._operands(other)
-        if ops is None:
-            return NotImplemented
-        disc, ar, ad, br, bd = ops
-        return QuadNum(disc, ar, ad) * QuadNum(disc, br, bd).inverse()
+        if isinstance(other, QuadNum):
+            # Mixed discs raise before a zero norm does.  The product compares
+            # the discs again, so that its formula is written once.
+            self._common_disc(other)
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                # the text inverse() gives for the zero element
+                raise ZeroDivisionError("0 has norm zero and is not invertible")
+            return QuadNum._new(self.disc, self.rat / other, self.rad / other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        ops = self._operands(other)
-        if ops is None:
-            return NotImplemented
-        disc, ar, ad, br, bd = ops
-        return QuadNum(disc, br, bd) * QuadNum(disc, ar, ad).inverse()
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         base = self if n >= 0 else self.inverse()
-        out = QuadNum(self.disc, Fraction(1), Fraction(0))
+        out = QuadNum._new(self.disc, Fraction(1), Fraction(0))
         for _ in range(abs(n)):
             out = out * base
         return out
 
     def __neg__(self):
-        return QuadNum(self.disc, -self.rat, -self.rad)
+        return QuadNum._new(self.disc, -self.rat, -self.rad)
 
     def __pos__(self):
         return self

@@ -66,7 +66,7 @@ def _v_sums(D: int) -> tuple[QuadNum, QuadNum]:
     v depends on the triple (a, b, c) only:
     v = (D(a - c) + b(a + c) sqrt(D)) / (2|ac| gcd(a, c)), weighted by the
     number of residues q of the triple.  Outside the split regime every
-    cusp counts toward the first sum.
+    cusp counts toward the first sum.  D must already be checked.
     """
     split = _spin_applies(D)
     f = decompose_discriminant(D)[1] if split else 0
@@ -81,7 +81,7 @@ def _v_sums(D: int) -> tuple[QuadNum, QuadNum]:
             if k:
                 rat[eps] += Fraction(k * x, den)
                 rad[eps] += Fraction(k * y, den)
-    return QuadNum(D, rat[0], rad[0]), QuadNum(D, rat[1], rad[1])
+    return QuadNum._new(D, rat[0], rad[0]), QuadNum._new(D, rat[1], rad[1])
 
 
 def _constants(D: int) -> tuple[QuadNum, tuple[QuadNum, QuadNum] | None, QuadNum]:

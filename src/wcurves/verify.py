@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import boundary, euler, reference, siegelveech
-from .exact import decompose_discriminant, is_discriminant, is_square
+from .exact import check_discriminant, decompose_discriminant, is_discriminant, is_square
 from .prototypes import (
     _spin,
     _spin_applies,
@@ -52,12 +52,19 @@ class _Rec:
         self.failures = []
         self.tally = {}
 
-    def check(self, name: str, ok: bool, detail: str = "") -> None:
+    def check(self, name: str, ok: bool, detail=None) -> None:
+        """Count a passing check, or record a failure.
+
+        detail is formatted only on failure: an object by str, a
+        zero-argument callable by str of its result.
+        """
         if ok:
             self.passed += 1
             self.tally[name] = self.tally.get(name, 0) + 1
-        else:
-            self.failures.append(f"{name}: {detail}" if detail else name)
+            return
+        if callable(detail):
+            detail = detail()
+        self.failures.append(name if detail is None else f"{name}: {detail}")
 
 
 def _check_enumeration(D: int, rec: _Rec) -> None:
@@ -68,7 +75,7 @@ def _check_enumeration(D: int, rec: _Rec) -> None:
         rec.check(
             f"enumeration_{kind}",
             ours == theirs,
-            f"enumerator {ours} vs reference {theirs}",
+            lambda: f"enumerator {ours} vs reference {theirs}",
         )
         rec.check(f"canonical_{kind}", all(p == canonical(p) for p in protos))
 
@@ -82,24 +89,24 @@ def _check_dynamics(D: int, rec: _Rec) -> None:
         prv = None if p.is_degenerate else prev_prototype(p)
         if nxt is not None:
             nexts.append(nxt)
-            rec.check("prev_of_next", prev_prototype(nxt) == p, str(p))
+            rec.check("prev_of_next", prev_prototype(nxt) == p, p)
         if prv is not None:
             tp = t_involution(p)
-            rec.check("next_of_prev", next_prototype(prv) == p, str(p))
-            rec.check("t_involutive", t_involution(tp) == p, str(p))
-            rec.check("multiplicity_positive", multiplicity(p) >= 1, str(p))
+            rec.check("next_of_prev", next_prototype(prv) == p, p)
+            rec.check("t_involutive", t_involution(tp) == p, p)
+            rec.check("multiplicity_positive", multiplicity(p) >= 1, p)
             if nxt is not None:
-                rec.check("t_next_is_prev_t", t_involution(nxt) == prev_prototype(tp), str(p))
+                rec.check("t_next_is_prev_t", t_involution(nxt) == prev_prototype(tp), p)
         if p.is_terminal or p.is_initial:
-            rec.check("boundary_multiplicity", p.is_degenerate or multiplicity(p) == 1, str(p))
-        rec.check("orbifold_order_positive", orbifold_order(p) >= 1, str(p))
+            rec.check("boundary_multiplicity", p.is_degenerate or multiplicity(p) == 1, p)
+        rec.check("orbifold_order_positive", orbifold_order(p) >= 1, p)
         if not square:
             lam = lambda_of(p)
             want = lam - 1 if (lam - 2).sign1() >= 0 else (lam - 1).inverse()
-            rec.check("lambda_next", lambda_of(nxt) == want, str(p))
+            rec.check("lambda_next", lambda_of(nxt) == want, p)
             want = lam + 1 if (lam + 1).norm() <= 0 else (lam + 1) / lam
-            rec.check("lambda_prev", lambda_of(prv) == want, str(p))
-            rec.check("lambda_norm", lam.norm() == Fraction(p.c, p.a), str(p))
+            rec.check("lambda_prev", lambda_of(prv) == want, p)
+            rec.check("lambda_norm", lam.norm() == Fraction(p.c, p.a), p)
     if not square:
         rec.check("next_permutes", set(nexts) == set(ys))
     chains = orbits(D)
@@ -118,15 +125,15 @@ def _check_fibers(D: int, rec: _Rec) -> None:
         pf[y_image(pp)] += 1
     for p in ys:
         if p.is_degenerate:
-            rec.check("degenerate_fiber", wf[p] == 0 and pf[p] == 0, str(p))
+            rec.check("degenerate_fiber", wf[p] == 0 and pf[p] == 0, p)
         elif p.is_terminal:
-            rec.check("terminal_fiber", wf[p] == 0 and pf[p] == 1, str(p))
+            rec.check("terminal_fiber", wf[p] == 0 and pf[p] == 1, p)
         else:
-            rec.check("w_fiber_size", wf[p] == multiplicity(p), str(p))
-            rec.check("p_fiber_size", pf[p] == multiplicity(p), str(p))
+            rec.check("w_fiber_size", wf[p] == multiplicity(p), p)
+            rec.check("p_fiber_size", pf[p] == multiplicity(p), p)
     for w in ws:
         back = from_splitting_prototype(*to_splitting_prototype(w))
-        rec.check("splitting_round_trip", back == w, str(w))
+        rec.check("splitting_round_trip", back == w, w)
     if _spin_applies(D):
         _, f = decompose_discriminant(D)
         for w in ws:
@@ -135,12 +142,12 @@ def _check_fibers(D: int, rec: _Rec) -> None:
             stable = all(
                 _spin(w.a, w.b, w.c, q, f) == base for q in (w.q + m, w.q + 2 * m)
             )
-            rec.check("spin_lift_stable", stable, str(w))
+            rec.check("spin_lift_stable", stable, w)
 
 
 def _check_euler(D: int, rec: _Rec) -> None:
     for c in euler.consistency_chain(D):
-        rec.check(f"euler_{c.name}", c.ok, f"{c.lhs} != {c.rhs}")
+        rec.check(f"euler_{c.name}", c.ok, lambda: f"{c.lhs} != {c.rhs}")
     split = _spin_applies(D)
     rec.check(
         "components_vs_split",
@@ -153,14 +160,14 @@ def _check_sv(D: int, rec: _Rec) -> None:
         return
     ws = enumerate_prototypes(D, "W")
     for w in ws:
-        rec.check("v_positive", siegelveech.v_of_prototype(w).sign1() > 0, str(w))
+        rec.check("v_positive", siegelveech.v_of_prototype(w).sign1() > 0, w)
     c, components, billiards = siegelveech._constants(D)
     rec.check("sv_positive", c.sign1() > 0 and c.sign2() > 0)
     if components is None:
-        rec.check("sv_rational", c.rad == 0, str(c))
+        rec.check("sv_rational", c.rad == 0, c)
     else:
         c0, c1 = components
-        rec.check("sv_conjugacy", c1 == c0.galois_conjugate(), f"{c0} vs {c1}")
+        rec.check("sv_conjugacy", c1 == c0.galois_conjugate(), lambda: f"{c0} vs {c1}")
         rec.check("sv_mean", (c0 + c1) / 2 == c)
         rec.check("sv_billiards_pick", billiards in (c0, c1))
 
@@ -199,7 +206,7 @@ def _check_boundary(D: int, rec: _Rec) -> None:
                 lhs += 1
             tp = t_involution(p)
             rhs = sum(1 for w in by_prototype[tp].w_fiber if spin(w) == 0)
-            rec.check("spin_balance", lhs == rhs, f"{p}: {lhs} != {rhs}")
+            rec.check("spin_balance", lhs == rhs, lambda: f"{p}: {lhs} != {rhs}")
 
 
 def _check_ledger(D: int, rec: _Rec) -> None:
@@ -237,15 +244,27 @@ def _check_ledger(D: int, rec: _Rec) -> None:
         )
 
 
+_SUITES = (
+    ("enumeration", _check_enumeration),
+    ("dynamics", _check_dynamics),
+    ("fibers", _check_fibers),
+    ("euler", _check_euler),
+    ("sv", _check_sv),
+    ("boundary", _check_boundary),
+    ("ledger", _check_ledger),
+)
+
+
 def verify_discriminant(D: int) -> DiscriminantReport:
+    check_discriminant(D)  # invalid input raises; it is not a suite's failure
     rec = _Rec()
-    _check_enumeration(D, rec)
-    _check_dynamics(D, rec)
-    _check_fibers(D, rec)
-    _check_euler(D, rec)
-    _check_sv(D, rec)
-    _check_boundary(D, rec)
-    _check_ledger(D, rec)
+    for suite, run in _SUITES:
+        try:
+            run(D, rec)
+        except Exception as exc:
+            # An invariant that fails by raising (an assert inside a layer)
+            # is one failure of its suite; the other suites still run.
+            rec.failures.append(f"{suite}: {type(exc).__name__}: {exc}")
     return DiscriminantReport(
         D, rec.passed, tuple(rec.failures), tuple(sorted(rec.tally.items()))
     )

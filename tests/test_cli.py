@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wcurves import reference
+from wcurves import reference, siegelveech
 from wcurves.cli import main
 from wcurves.prototypes import prototype_from_json
 
@@ -155,6 +155,23 @@ def test_verify_failure_exits_2_with_reproducer(monkeypatch, capsys):
     assert any(line.startswith("  FAIL enumeration_") for line in lines)
     assert lines.count("  reproduce: wcurves verify --dmin 5 --dmax 5") == 1
     assert lines[-1].endswith(" failed") and not lines[-1].endswith(" 0 failed")
+
+
+def test_verify_raising_suite_exits_2_with_reproducer(monkeypatch, capsys):
+    def broken(p):
+        raise AssertionError("planted")
+
+    monkeypatch.setattr(siegelveech, "v_of_prototype", broken)
+    assert main(["verify", "--dmin", "41", "--dmax", "41"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[:3] == [
+        "D=41: 198 checks, FAIL",
+        "  FAIL sv: AssertionError: planted",
+        "  reproduce: wcurves verify --dmin 41 --dmax 41",
+    ]
+    assert lines[-1] == "verified 1 discriminants: 198 checks passed, 1 failed"
+    assert captured.err == ""
 
 
 def test_verify_pass_prints_no_reproducer(capsys):

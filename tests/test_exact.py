@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -205,7 +206,7 @@ def test_quadnum_json_round_trip():
 
 
 _rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
-_discs = st.sampled_from([5, 8, 12, 13, 17, 44, 173])
+_discs = st.sampled_from([5, 8, 9, 12, 13, 17, 25, 44, 49, 173])
 
 
 @settings(max_examples=200, deadline=None)
@@ -245,3 +246,114 @@ def test_sign_matches_real_embedding(p, q, disc):
     approx = p + q * math.sqrt(disc)
     if abs(approx) > 1e-6:
         assert x.sign1() == (1 if approx > 0 else -1)
+    _assert_signs(x)
+
+
+_scalars = st.one_of(st.integers(min_value=-10**6, max_value=10**6), _rationals)
+
+
+def _scalar_results(x, k):
+    """(result, want rat, want rad) for each operator with the scalar k on either side."""
+    p, q = x.rat, x.rad
+    out = [
+        (x + k, p + k, q), (k + x, p + k, q),
+        (x - k, p - k, q), (k - x, k - p, -q),
+        (x * k, p * k, q * k), (k * x, p * k, q * k),
+    ]
+    if k != 0:
+        out.append((x / k, p / k, q / k))
+    n = x.norm()
+    if n != 0:
+        out.append((k / x, k * p / n, -k * q / n))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rationals, _rationals, _scalars, _discs)
+def test_scalar_operands_match_the_validated_route(p, q, k, disc):
+    x = QuadNum(disc, p, q)
+    for got, rat, rad in _scalar_results(x, k):
+        want = QuadNum(disc, rat, rad)
+        assert got == want and got.disc == disc
+        assert type(got.rat) is Fraction and type(got.rad) is Fraction
+        assert hash(got) == hash(want)
+        assert str(got) == str(want)
+
+
+def test_arithmetic_error_messages():
+    x = QuadNum(13, 1, 1)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError) as err:
+            x / zero
+        assert str(err.value) == "0 has norm zero and is not invertible"
+    with pytest.raises(ZeroDivisionError) as err:
+        0 / QuadNum(9, 3, 1)
+    assert str(err.value) == "3 + 1*sqrt(9) has norm zero and is not invertible"
+    with pytest.raises(ValueError) as err:
+        QuadNum.sqrt(5) - QuadNum.sqrt(8)
+    assert str(err.value) == "mixed discriminants 5 and 8"
+    # mixed discriminants are reported before a zero divisor
+    with pytest.raises(ValueError) as err:
+        QuadNum(5, 1, 1) / QuadNum(9, 3, 1)
+    assert str(err.value) == "mixed discriminants 5 and 9"
+
+
+def _rational_sign(rat, rad, disc):
+    """Sign of rat + rad*sqrt(disc) from rational brackets lo <= sqrt(disc) <= hi."""
+    if rat == 0 and rad == 0:
+        return 0
+    scale = 10
+    while True:
+        lo = Fraction(math.isqrt(disc * scale * scale), scale)
+        if lo * lo == disc:
+            v = rat + rad * lo
+            return (v > 0) - (v < 0)
+        ends = (rat + rad * lo, rat + rad * (lo + Fraction(1, scale)))
+        if min(ends) > 0:
+            return 1
+        if max(ends) < 0:
+            return -1
+        scale *= scale
+
+
+def _convergents(D, count):
+    """The first continued-fraction convergents p/q of sqrt(D), D nonsquare."""
+    a0 = math.isqrt(D)
+    m, d, a = 0, 1, a0
+    p, p_prev, q, q_prev = a0, 1, 1, 0
+    out = [(p, q)]
+    for _ in range(count - 1):
+        m = d * a - m
+        d = (D - m * m) // d
+        a = (a0 + m) // d
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        out.append((p, q))
+    return out
+
+
+def _assert_signs(x):
+    assert x.sign1() == _rational_sign(x.rat, x.rad, x.disc)
+    assert x.sign2() == _rational_sign(x.rat, -x.rad, x.disc)
+
+
+def test_sign_at_square_boundary():
+    for d in (3, 5, 7):
+        for rad in (Fraction(1), Fraction(-2, 3), Fraction(10**12 + 1, 7)):
+            for rat in (-d * rad, d * rad):
+                x = QuadNum(d * d, rat, rad)
+                _assert_signs(x)
+                assert 0 in (x.sign1(), x.sign2())
+                for nudge in (Fraction(1, 10**15), Fraction(-1, 10**15)):
+                    _assert_signs(QuadNum(d * d, rat + nudge, rad))
+
+
+def test_sign_near_norm_zero():
+    for D in (5, 13, 61, 1009, 10**6 + 1):
+        for p, q in _convergents(D, 25):
+            for scale in (1, 7):
+                x = QuadNum(D, Fraction(p, scale), Fraction(-q, scale))
+                assert abs(x.norm()) * scale * scale <= 4 * math.isqrt(D) + 4
+                _assert_signs(x)
+                _assert_signs(-x)
+

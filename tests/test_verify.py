@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
-from wcurves import reference
+from wcurves import euler, reference, siegelveech, verify
+from wcurves.exact import QuadNum
+from wcurves.prototypes import Prototype
 from wcurves.verify import verify_discriminant, verify_range
 
 
@@ -52,3 +56,108 @@ def test_failed_check_is_reported(monkeypatch):
     assert not r.ok
     assert any(f.startswith("enumeration_") for f in r.failures)
     assert r.passed == sum(n for _, n in r.tallies)
+
+
+# Per-suite tallies of verify_discriminant(41) (nonsquare, split) and of
+# verify_discriminant(49) (square, split).
+_TALLIES_41 = {
+    "canonical_P": 1, "canonical_W": 1, "canonical_Y": 1, "complex_edges_closed": 1,
+    "complex_p_total": 1, "complex_w_total": 1, "components_vs_split": 1,
+    "enumeration_P": 1, "enumeration_W": 1, "enumeration_Y": 1,
+    "euler_chi_additivity": 1, "euler_component_sum": 1, "euler_cusp_counts": 1,
+    "euler_euler_ratio": 1, "euler_h2_sigma3": 1, "euler_h_sum_chi_w": 1,
+    "euler_h_sum_chi_x": 1, "euler_q_doubles_p": 1, "euler_rm_route": 1,
+    "lambda_next": 11, "lambda_norm": 11, "lambda_prev": 11, "ledger_p_squared": 1,
+    "ledger_w0_dot_p": 1, "ledger_w0_squared_open": 1, "ledger_w1_dot_p": 1,
+    "ledger_w_dot_p": 1, "ledger_w_squared": 1, "multiplicity_positive": 11,
+    "next_of_prev": 11, "next_permutes": 1, "orbifold_order_positive": 11,
+    "orbits_cover": 1, "p_fiber_size": 11, "prev_of_next": 11, "spin_balance": 11,
+    "spin_lift_stable": 14, "splitting_round_trip": 14, "sv_billiards_pick": 1,
+    "sv_conjugacy": 1, "sv_mean": 1, "sv_positive": 1, "t_involutive": 11,
+    "t_next_is_prev_t": 11, "tau_closed": 11, "v_positive": 14, "w_fiber_size": 11,
+}
+_TALLIES_49 = {
+    "boundary_multiplicity": 6, "canonical_P": 1, "canonical_W": 1, "canonical_Y": 1,
+    "complex_edges_closed": 1, "complex_p_total": 1, "complex_w_total": 1,
+    "components_vs_split": 1, "degenerate_fiber": 3, "enumeration_P": 1,
+    "enumeration_W": 1, "enumeration_Y": 1, "euler_chi_additivity": 1,
+    "euler_component_sum": 1, "euler_cusp_counts": 1, "euler_q_doubles_p": 1,
+    "euler_rm_route": 1, "ledger_p_squared": 1, "ledger_s1_dot_s2": 1,
+    "ledger_s1_dot_w": 1, "ledger_s1_dot_w0": 1, "ledger_s1_dot_w1": 1,
+    "ledger_s_squared": 1, "ledger_w0_dot_p": 1, "ledger_w0_dot_s2": 1,
+    "ledger_w0_squared_open": 1, "ledger_w_dot_s2": 1, "ledger_w_squared": 1,
+    "multiplicity_positive": 14, "next_of_prev": 14, "orbifold_order_positive": 17,
+    "orbits_cover": 1, "p_fiber_size": 11, "prev_of_next": 14, "spin_balance": 14,
+    "spin_lift_stable": 13, "splitting_round_trip": 13, "t_involutive": 14,
+    "t_next_is_prev_t": 11, "tau_closed": 14, "terminal_fiber": 3, "w_fiber_size": 11,
+}
+
+
+@pytest.mark.parametrize("D, tallies", [(41, _TALLIES_41), (49, _TALLIES_49)])
+def test_passing_checks_format_no_detail(monkeypatch, D, tallies):
+    def refuse(self):
+        raise AssertionError("a passing check formatted its detail")
+
+    monkeypatch.setattr(Prototype, "__str__", refuse)
+    monkeypatch.setattr(QuadNum, "__str__", refuse)
+    r = verify_discriminant(D)
+    assert r.ok
+    assert r.passed == sum(tallies.values())
+    assert r.tallies == tuple(sorted(tallies.items()))
+
+
+def test_enumeration_failure_text(monkeypatch):
+    full = reference.reference_tuples
+    monkeypatch.setattr(
+        reference,
+        "reference_tuples",
+        lambda D, kind: full(D, kind)[1:] if kind == "W" else full(D, kind),
+    )
+    r = verify_discriminant(17)
+    assert r.failures == (
+        "enumeration_W: enumerator [(1, -3, -2, 0), (1, -1, -4, 0), (1, 1, -4, 0),"
+        " (2, -3, -1, 0), (2, -1, -2, 0), (2, -1, -2, 1)] vs reference"
+        " [(1, -1, -4, 0), (1, 1, -4, 0), (2, -3, -1, 0), (2, -1, -2, 0), (2, -1, -2, 1)]",
+    )
+    assert r.passed == 113
+
+
+def test_per_prototype_failure_text(monkeypatch):
+    monkeypatch.setattr(verify, "prev_prototype", lambda p: p)
+    r = verify_discriminant(8)
+    assert r.failures == tuple(
+        f"{name}: {p}"
+        for p in ("Y(1,-2,-1,0)", "Y(1,0,-2,0)")
+        for name in ("prev_of_next", "next_of_prev", "t_next_is_prev_t", "lambda_prev")
+    )
+    assert r.passed == 45
+
+
+def test_euler_failure_text(monkeypatch):
+    chain = euler.consistency_chain
+    planted = euler.ConsistencyCheck("planted", Fraction(1, 3), Fraction(-2))
+    monkeypatch.setattr(euler, "consistency_chain", lambda D: chain(D) + [planted])
+    r = verify_discriminant(41)
+    assert r.failures == ("euler_planted: 1/3 != -2",)
+    assert r.passed == sum(_TALLIES_41.values())
+
+
+def test_raising_suite_is_one_failure(monkeypatch):
+    def broken(p):
+        raise AssertionError(f"planted at {p}")
+
+    monkeypatch.setattr(siegelveech, "v_of_prototype", broken)
+    r = verify_discriminant(41)
+    assert not r.ok
+    assert r.failures == ("sv: AssertionError: planted at W(1,-5,-4,0)",)
+    # every other suite still ran; the sv suite stopped at its first check
+    others = {k: v for k, v in _TALLIES_41.items() if not k.startswith(("sv_", "v_"))}
+    assert r.tallies == tuple(sorted(others.items()))
+    assert r.passed == sum(others.values())
+
+
+@pytest.mark.parametrize("D", [6, 0, -3])
+def test_invalid_discriminant_raises(D):
+    # bad input is the caller's error, not a failure of the suites
+    with pytest.raises(ValueError, match=rf"^invalid discriminant {D}: need an integer >= 1 "):
+        verify_discriminant(D)
