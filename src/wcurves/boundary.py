@@ -30,11 +30,10 @@ from .exact import (
 )
 from .prototypes import (
     Prototype,
-    _canonical_triple,
-    _gcd3,
     _next_triple,
     _spin,
     _spin_applies,
+    _y_key,
     enumerate_prototypes,
     orbifold_order,
     t_involution,
@@ -151,14 +150,12 @@ def build_complex(D: int) -> CuspComplex:
     square = is_square(D)
     with_spin = _spin_applies(D)
     ys = enumerate_prototypes(D, "Y")
-    # A cusp's key is the quadruple of its y_image, computed without
-    # building that Prototype: the Y-canonical triple, q mod gcd(a, b, c).
+    # A cusp's key is the quadruple of its y_image, without building it.
     w_fiber: dict[tuple, list[Prototype]] = {p.abcq: [] for p in ys}
     p_fiber: dict[tuple, list[Prototype]] = {p.abcq: [] for p in ys}
     for kind, fiber in (("W", w_fiber), ("P", p_fiber)):
         for x in enumerate_prototypes(D, kind):
-            a, b, c, q = x.abcq
-            fiber[(*_canonical_triple("Y", a, b, c), q % _gcd3(a, b, c))].append(x)
+            fiber[_y_key(*x.abcq)].append(x)
 
     f = decompose_discriminant(D)[1] if with_spin else None
     curves = []

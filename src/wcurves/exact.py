@@ -37,7 +37,7 @@ def is_square(n: int) -> bool:
 
 
 def is_discriminant(D: int, minimum: int = 1) -> bool:
-    return isinstance(D, int) and D >= minimum and D % 4 in (0, 1)
+    return isinstance(D, int) and not isinstance(D, bool) and D >= minimum and D % 4 in (0, 1)
 
 
 def check_discriminant(D: int, minimum: int = 1) -> None:

@@ -130,10 +130,14 @@ def _canonical_triple(kind: str, a: int, b: int, c: int) -> tuple[int, int, int]
     return (a, b, c)
 
 
+def _y_key(a: int, b: int, c: int, q: int) -> tuple[int, int, int, int]:
+    """Junction key of (a, b, c, q): the Y-canonical triple, q mod gcd(a, b, c)."""
+    return (*_canonical_triple("Y", a, b, c), q % _gcd3(a, b, c))
+
+
 def canonical(p: Prototype) -> Prototype:
     """Canonical representative of p under the identification pairing."""
-    a, b, c = _canonical_triple(p.kind, p.a, p.b, p.c)
-    return Prototype(p.kind, p.D, a, b, c, p.q)
+    return _unchecked(p.kind, p.D, *_canonical_triple(p.kind, p.a, p.b, p.c), p.q)
 
 
 @lru_cache(maxsize=1)
@@ -180,7 +184,7 @@ def _w_cusps(D: int):
 
 
 def _unchecked(kind: str, D: int, a: int, b: int, c: int, q: int) -> Prototype:
-    """A Prototype built without __post_init__, for fields already known valid."""
+    """A Prototype built without __post_init__, for results that inherit validity."""
     p = object.__new__(Prototype)
     # One object.__setattr__ per field in field order, as the frozen
     # dataclass __init__ does, keeps the instance dict as small as a
@@ -251,7 +255,7 @@ def next_prototype(p: Prototype) -> Prototype:
     _require_kind_y(p, "next_prototype")
     if p.is_terminal:
         raise ValueError(f"{p} is terminal and has no successor")
-    return Prototype("Y", p.D, *_next_triple(p.a, p.b, p.c), p.q)
+    return _unchecked("Y", p.D, *_next_triple(p.a, p.b, p.c), p.q)
 
 
 def prev_prototype(p: Prototype) -> Prototype:
@@ -264,7 +268,7 @@ def prev_prototype(p: Prototype) -> Prototype:
         triple = (a, -2 * a + b, a - b + c)
     else:
         triple = (-c, -b + 2 * c, -a + b - c)
-    return Prototype("Y", p.D, *_canonical_triple("Y", *triple), q)
+    return _unchecked("Y", p.D, *_canonical_triple("Y", *triple), q)
 
 
 def t_involution(p: Prototype) -> Prototype:
@@ -277,7 +281,7 @@ def t_involution(p: Prototype) -> Prototype:
         triple = (a, -b, c)
     else:
         triple = (-c, b, -a)
-    return Prototype("Y", p.D, *_canonical_triple("Y", *triple), q)
+    return _unchecked("Y", p.D, *_canonical_triple("Y", *triple), q)
 
 
 def multiplicity(p: Prototype) -> int:
@@ -339,9 +343,7 @@ def y_image(p: Prototype) -> Prototype:
     """Junction below a kind W or P prototype: same triple, q mod gcd(a,b,c)."""
     if p.kind == "Y":
         return p
-    g = _gcd3(p.a, p.b, p.c)
-    triple = _canonical_triple("Y", p.a, p.b, p.c)
-    return Prototype("Y", p.D, *triple, p.q % g)
+    return _unchecked("Y", p.D, *_y_key(*p.abcq))
 
 
 def from_splitting_prototype(a: int, b: int, c: int, e: int) -> Prototype:

@@ -51,7 +51,8 @@ def v_of_prototype(p: Prototype) -> QuadNum:
     """
     if p.kind != "W":
         raise ValueError(f"expected a kind W prototype, got kind {p.kind}")
-    _check_sv_discriminant(p.D)
+    if not _sv_applies(p.D):  # a kind W D is checked and >= 5, so D is square
+        _check_sv_discriminant(p.D)  # raises the square-regime error
     lam = lambda_of(p)
     lam2 = lam * lam
     lead = Fraction(-p.c, math.gcd(p.a, p.c))

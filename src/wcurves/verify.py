@@ -8,6 +8,7 @@ failure descriptions, so a regression names what broke and where.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,12 +118,8 @@ def _check_fibers(D: int, rec: _Rec) -> None:
     ys = enumerate_prototypes(D, "Y")
     ws = enumerate_prototypes(D, "W")
     ps = enumerate_prototypes(D, "P")
-    wf = {p: 0 for p in ys}
-    for w in ws:
-        wf[y_image(w)] += 1
-    pf = {p: 0 for p in ys}
-    for pp in ps:
-        pf[y_image(pp)] += 1
+    wf = Counter(map(y_image, ws))
+    pf = Counter(map(y_image, ps))
     for p in ys:
         if p.is_degenerate:
             rec.check("degenerate_fiber", wf[p] == 0 and pf[p] == 0, p)

@@ -18,6 +18,8 @@ from wcurves.exact import (
     mobius_weighted_sum,
     sigma,
 )
+from wcurves.euler import chi_X
+from wcurves.verify import verify_discriminant
 
 
 def test_is_square():
@@ -31,6 +33,7 @@ def test_is_discriminant():
     assert good == [1, 4, 5, 8, 9, 12, 13, 16, 17, 20, 21]
     assert not is_discriminant(7)
     assert not is_discriminant(-4)
+    assert not is_discriminant(True)
 
 
 def test_check_discriminant_message():
@@ -39,6 +42,13 @@ def test_check_discriminant_message():
     with pytest.raises(ValueError, match=">= 5"):
         check_discriminant(4, minimum=5)
     check_discriminant(5, minimum=5)
+    # bool is an int subclass, but True is no discriminant
+    with pytest.raises(ValueError, match="^invalid discriminant True: need an integer >= 1 "):
+        QuadNum(True, 1, 1)
+    with pytest.raises(ValueError, match="^invalid discriminant True: need an integer >= 1 "):
+        chi_X(True)
+    with pytest.raises(ValueError, match="^invalid discriminant True: need an integer >= 1 "):
+        verify_discriminant(True)
 
 
 def test_divisors():

@@ -82,6 +82,8 @@ def test_square_discriminants_rejected():
     for fn in (sv_constant, billiards_constant, sv_report):
         with pytest.raises(ValueError, match="square"):
             fn(16)
+    with pytest.raises(ValueError, match="^D=16 is a square: cylinder-counting constants"):
+        v_of_prototype(Prototype("W", 16, 1, -2, -3))
     with pytest.raises(ValueError):
         sv_constant(4)
 

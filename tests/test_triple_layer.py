@@ -1,9 +1,12 @@
-"""The prototype enumeration and the cusp complex built from the triple layer.
+"""The prototype enumeration, its maps and the cusp complex of the triple layer.
 
-`_enumerate` builds its Prototypes without running `__post_init__`, and
-`build_complex` groups the cusps by an integer key instead of through
-`y_image`.  These tests put the public, validating routes back as oracles
-over both, and pin the one-discriminant caches and the construction count.
+`_enumerate` and the maps of an existing Prototype (`canonical`,
+`next_prototype`, `prev_prototype`, `t_involution`, `y_image`) build their
+Prototypes without running `__post_init__`, and `build_complex` groups the
+cusps by the integer key `_y_key` instead of through `y_image`.  These tests
+rebuild every such Prototype through the validating constructor, compare
+the complex's fibers with a grouping by `y_image`, and pin the
+one-discriminant caches and the construction count.
 """
 
 import sys
@@ -18,8 +21,11 @@ from wcurves.prototypes import (
     Prototype,
     _enumerate,
     _triples,
+    canonical,
     enumerate_prototypes,
     next_prototype,
+    prev_prototype,
+    t_involution,
     y_image,
 )
 from wcurves.siegelveech import _sv_applies, sv_report
@@ -30,17 +36,31 @@ def _cold():
     _enumerate.cache_clear()
 
 
+def _derived(p):
+    """The results of the maps that build Prototypes from p unvalidated."""
+    yield canonical(p)
+    if p.kind != "Y":
+        yield y_image(p)
+        return
+    if not p.is_terminal:
+        yield next_prototype(p)
+    if not p.is_degenerate:
+        yield prev_prototype(p)
+        yield t_involution(p)
+
+
 def test_enumerated_prototypes_pass_validation():
     for D in range(1, 1001):
         if not is_discriminant(D):
             continue
         for kind in ("Y", "W", "P"):
             for p in enumerate_prototypes(D, kind):
-                rebuilt = Prototype(p.kind, p.D, p.a, p.b, p.c, p.q)
-                assert rebuilt == p, p
-                assert hash(rebuilt) == hash(p), p
-                assert type(p) is Prototype
-                assert sys.getsizeof(vars(p)) == sys.getsizeof(vars(rebuilt)), p
+                for x in (p, *_derived(p)):
+                    rebuilt = Prototype(x.kind, x.D, x.a, x.b, x.c, x.q)
+                    assert rebuilt == x, (p, x)
+                    assert hash(rebuilt) == hash(x), (p, x)
+                    assert type(x) is Prototype
+                    assert sys.getsizeof(vars(x)) == sys.getsizeof(vars(rebuilt)), (p, x)
 
 
 def test_complex_fibers_match_the_public_route():
@@ -102,7 +122,8 @@ def test_enumeration_and_complex_run_no_validation(monkeypatch):
     _cold()
     for D in (17, 25, 1009):
         for kind in ("Y", "W", "P"):
-            enumerate_prototypes(D, kind)
+            for p in enumerate_prototypes(D, kind):
+                list(_derived(p))
     build_complex(1009)
     assert calls == []
     with pytest.raises(ValueError):

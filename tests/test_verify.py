@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from wcurves import euler, reference, siegelveech, verify
+from wcurves import euler, prototypes, reference, siegelveech, verify
 from wcurves.exact import QuadNum
 from wcurves.prototypes import Prototype
 from wcurves.verify import verify_discriminant, verify_range
@@ -131,6 +132,17 @@ def test_per_prototype_failure_text(monkeypatch):
         for name in ("prev_of_next", "next_of_prev", "t_next_is_prev_t", "lambda_prev")
     )
     assert r.passed == 45
+
+
+def test_wrong_junction_key_fails(monkeypatch):
+    # q mod gcd(a, c) in place of q mod gcd(a, b, c)
+    def wrong(a, b, c, q):
+        return (*prototypes._canonical_triple("Y", a, b, c), q % math.gcd(a, c))
+
+    monkeypatch.setattr(prototypes, "_y_key", wrong)
+    r = verify_discriminant(17)
+    assert not r.ok
+    assert any(f.startswith("w_fiber_size") for f in r.failures), r.failures
 
 
 def test_euler_failure_text(monkeypatch):
