@@ -1,16 +1,19 @@
 """Exact arithmetic over real quadratic orders.
 
-Rationals are fractions.Fraction throughout.  A QuadNum is an element
-rat + rad*sqrt(disc) of Q[sqrt(disc)] for an integer discriminant
-disc >= 1 with disc = 0 or 1 (mod 4).  Square discriminants are allowed:
-Q[sqrt(d^2)] is isomorphic to Q (+) Q, it has zero divisors, and its two
-coordinate projections stay exact.
+A QuadNum is an element rat + rad*sqrt(disc) of Q[sqrt(disc)] for an
+integer discriminant disc >= 1 with disc = 0 or 1 (mod 4).  It is held in
+integers as (x + y*sqrt(disc))/z, with z > 0 and gcd(x, y, z) = 1, so each
+value has one form.  An arithmetic result is built from the integers of
+its operands and reduced with one three-argument gcd; no Fraction is made
+on the way.  Its coordinates rat = x/z and rad = y/z, its norm and trace,
+and the other rationals of this module are fractions.Fraction.  Square
+discriminants are allowed: Q[sqrt(d^2)] is isomorphic to Q (+) Q, it has
+zero divisors, and its two coordinate projections stay exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -175,109 +178,154 @@ def mobius_weighted_sum(d0: int, n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
+def _scalar(k) -> tuple[int, int]:
+    """(numerator, denominator) of an int or a Fraction."""
+    if isinstance(k, (int, Fraction)):
+        return k.numerator, k.denominator
+    raise TypeError(f"expected an int or Fraction, got {type(k).__name__}")
 
 
-def _sign_at(rat: Fraction, rad: Fraction, disc: int) -> int:
-    """Sign of rat + rad*sqrt(disc), decided in integers.
+def _quadnum(disc: int, x: int, y: int, z: int) -> "QuadNum":
+    """(x + y*sqrt(disc))/z for a checked disc and z > 0, with no validation.
 
-    Multiplied by the positive product of the denominators, the value is
-    x + y*sqrt(disc).  When x and y differ in sign, the larger of x^2 and
-    disc*y^2 wins; they tie only where the value is 0, so for a square disc.
+    The one builder of arithmetic results: it divides out gcd(x, y, z).
     """
-    x = rat.numerator * rad.denominator
-    y = rad.numerator * rat.denominator
-    if x * y >= 0:
-        t = x + y
-        return (t > 0) - (t < 0)
-    n = x * x - disc * y * y
-    big = x if n > 0 else y
-    return ((big > 0) - (big < 0)) if n else 0
+    g = math.gcd(x, y, z)
+    if g != 1:
+        x //= g
+        y //= g
+        z //= g
+    out = object.__new__(QuadNum)
+    out._d = disc
+    out._x = x
+    out._y = y
+    out._z = z
+    return out
 
 
-@dataclass(frozen=True, eq=False)
 class QuadNum:
-    """rat + rad*sqrt(disc) with exact Fraction coordinates."""
+    """rat + rad*sqrt(disc), held as (x + y*sqrt(disc))/z in integers.
 
-    disc: int
-    rat: Fraction = Fraction(0)
-    rad: Fraction = Fraction(0)
+    z > 0 and gcd(x, y, z) = 1, so each value has one form.  disc, rat and
+    rad are read-only; rat = x/z and rad = y/z are Fractions.
+    """
 
-    def __post_init__(self):
-        check_discriminant(self.disc)
-        object.__setattr__(self, "rat", _as_fraction(self.rat))
-        object.__setattr__(self, "rad", _as_fraction(self.rad))
+    __slots__ = ("_d", "_x", "_y", "_z")
 
-    @staticmethod
-    def _new(disc: int, rat: Fraction, rad: Fraction) -> "QuadNum":
-        """A QuadNum built without __post_init__: disc already checked, Fraction coordinates."""
-        x = object.__new__(QuadNum)
-        put = object.__setattr__
-        put(x, "disc", disc)
-        put(x, "rat", rat)
-        put(x, "rad", rad)
-        return x
+    def __init__(self, disc: int, rat: int | Fraction = 0, rad: int | Fraction = 0):
+        self.__post_init__(disc, rat, rad)
+
+    def __post_init__(self, disc: int, rat: int | Fraction, rad: int | Fraction) -> None:
+        """Check disc and the coordinates, then set the integer form.
+
+        Only the public constructor runs this; arithmetic results are built
+        by _quadnum.  The benchmark tracer counts validated constructions
+        by wrapping this method.
+        """
+        check_discriminant(disc)
+        a, b = _scalar(rat)
+        c, d = _scalar(rad)
+        z = math.lcm(b, d)
+        # a/b and c/d are in lowest terms, so over their lcm z the three are coprime
+        self._d = disc
+        self._x = a * (z // b)
+        self._y = c * (z // d)
+        self._z = z
+
+    @property
+    def disc(self) -> int:
+        return self._d
+
+    @property
+    def rat(self) -> Fraction:
+        return Fraction(self._x, self._z)
+
+    @property
+    def rad(self) -> Fraction:
+        return Fraction(self._y, self._z)
 
     @classmethod
     def sqrt(cls, disc: int) -> "QuadNum":
         return cls(disc, Fraction(0), Fraction(1))
 
     def galois_conjugate(self) -> "QuadNum":
-        return QuadNum._new(self.disc, self.rat, -self.rad)
+        return _quadnum(self._d, self._x, -self._y, self._z)
 
     def norm(self) -> Fraction:
-        return self.rat * self.rat - self.disc * self.rad * self.rad
+        x, y, z = self._x, self._y, self._z
+        return Fraction(x * x - self._d * y * y, z * z)
 
     def trace(self) -> Fraction:
-        return 2 * self.rat
+        return Fraction(2 * self._x, self._z)
+
+    def _sign(self, y: int) -> int:
+        """Sign of x + y*sqrt(disc), which z > 0 does not change.
+
+        When x and y differ in sign, the larger of x^2 and disc*y^2 wins;
+        they tie only where the value is 0, so for a square disc.
+        """
+        x = self._x
+        if x * y >= 0:
+            t = x + y
+            return (t > 0) - (t < 0)
+        n = x * x - self._d * y * y
+        big = x if n > 0 else y
+        return ((big > 0) - (big < 0)) if n else 0
 
     def sign1(self) -> int:
         """Sign under the first embedding, sqrt(disc) -> +sqrt(disc)."""
-        return _sign_at(self.rat, self.rad, self.disc)
+        return self._sign(self._y)
 
     def sign2(self) -> int:
         """Sign under the second embedding, sqrt(disc) -> -sqrt(disc)."""
-        return _sign_at(self.rat, -self.rad, self.disc)
+        return self._sign(-self._y)
+
+    def _root(self, name: str) -> int:
+        d = math.isqrt(self._d)
+        if d * d != self._d:
+            raise ValueError(f"{name} needs a square discriminant, got {self._d}")
+        return d
 
     def embed1(self) -> Fraction:
         """Rational image under sqrt(d^2) -> d.  Square disc only."""
-        d = math.isqrt(self.disc)
-        if d * d != self.disc:
-            raise ValueError(f"embed1 needs a square discriminant, got {self.disc}")
-        return self.rat + self.rad * d
+        return Fraction(self._x + self._y * self._root("embed1"), self._z)
 
     def embed2(self) -> Fraction:
         """Rational image under sqrt(d^2) -> -d.  Square disc only."""
-        d = math.isqrt(self.disc)
-        if d * d != self.disc:
-            raise ValueError(f"embed2 needs a square discriminant, got {self.disc}")
-        return self.rat - self.rad * d
+        return Fraction(self._x - self._y * self._root("embed2"), self._z)
 
-    def inverse(self) -> "QuadNum":
-        n = self.norm()
+    def _inverse_ints(self) -> tuple[int, int, int]:
+        """(u, v, w) with w > 0 and (u + v*sqrt(disc))/w the inverse, not reduced."""
+        x, y, z = self._x, self._y, self._z
+        n = x * x - self._d * y * y
         if n == 0:
             raise ZeroDivisionError(f"{self} has norm zero and is not invertible")
-        return QuadNum._new(self.disc, self.rat / n, -self.rad / n)
+        return (z * x, -z * y, n) if n > 0 else (-z * x, z * y, -n)
+
+    def inverse(self) -> "QuadNum":
+        return _quadnum(self._d, *self._inverse_ints())
 
     def _common_disc(self, other: "QuadNum") -> int:
         """The disc of a result with another QuadNum; a rational one fits any disc."""
-        if self.disc == other.disc or other.rad == 0:
-            return self.disc
-        if self.rad == 0:
-            return other.disc
-        raise ValueError(f"mixed discriminants {self.disc} and {other.disc}")
+        if self._d == other._d or other._y == 0:
+            return self._d
+        if self._y == 0:
+            return other._d
+        raise ValueError(f"mixed discriminants {self._d} and {other._d}")
+
+    def _times(self, disc: int, u: int, v: int, w: int) -> "QuadNum":
+        """self * (u + v*sqrt(disc))/w, for w > 0."""
+        x, y = self._x, self._y
+        return _quadnum(disc, x * u + disc * y * v, x * v + y * u, self._z * w)
 
     def __add__(self, other):
         if isinstance(other, QuadNum):
             disc = self._common_disc(other)
-            return QuadNum._new(disc, self.rat + other.rat, self.rad + other.rad)
+            z, w = self._z, other._z
+            return _quadnum(disc, self._x * w + other._x * z, self._y * w + other._y * z, z * w)
         if isinstance(other, (int, Fraction)):
-            return QuadNum._new(self.disc, self.rat + other, self.rad)
+            p, q = other.numerator, other.denominator
+            return _quadnum(self._d, self._x * q + p * self._z, self._y * q, self._z * q)
         return NotImplemented
 
     __radd__ = __add__
@@ -285,92 +333,101 @@ class QuadNum:
     def __sub__(self, other):
         if isinstance(other, QuadNum):
             disc = self._common_disc(other)
-            return QuadNum._new(disc, self.rat - other.rat, self.rad - other.rad)
+            z, w = self._z, other._z
+            return _quadnum(disc, self._x * w - other._x * z, self._y * w - other._y * z, z * w)
         if isinstance(other, (int, Fraction)):
-            return QuadNum._new(self.disc, self.rat - other, self.rad)
+            p, q = other.numerator, other.denominator
+            return _quadnum(self._d, self._x * q - p * self._z, self._y * q, self._z * q)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QuadNum._new(self.disc, other - self.rat, -self.rad)
+            p, q = other.numerator, other.denominator
+            return _quadnum(self._d, p * self._z - self._x * q, -self._y * q, self._z * q)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, QuadNum):
-            disc = self._common_disc(other)
-            ar, ad, br, bd = self.rat, self.rad, other.rat, other.rad
-            return QuadNum._new(disc, ar * br + disc * ad * bd, ar * bd + ad * br)
+            return self._times(self._common_disc(other), other._x, other._y, other._z)
         if isinstance(other, (int, Fraction)):
-            return QuadNum._new(self.disc, self.rat * other, self.rad * other)
+            p = other.numerator
+            return _quadnum(self._d, self._x * p, self._y * p, self._z * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, QuadNum):
-            # Mixed discs raise before a zero norm does.  The product compares
-            # the discs again, so that its formula is written once.
-            self._common_disc(other)
-            return self * other.inverse()
+            # Mixed discs raise before a zero norm does.
+            disc = self._common_disc(other)
+            return self._times(disc, *other._inverse_ints())
         if isinstance(other, (int, Fraction)):
-            if other == 0:
+            p, q = other.numerator, other.denominator
+            if p == 0:
                 # the text inverse() gives for the zero element
                 raise ZeroDivisionError("0 has norm zero and is not invertible")
-            return QuadNum._new(self.disc, self.rat / other, self.rad / other)
+            if p < 0:
+                p, q = -p, -q
+            return _quadnum(self._d, self._x * q, self._y * q, self._z * p)
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.inverse() * other
+            u, v, w = self._inverse_ints()
+            p = other.numerator
+            return _quadnum(self._d, u * p, v * p, w * other.denominator)
         return NotImplemented
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         base = self if n >= 0 else self.inverse()
-        out = QuadNum._new(self.disc, Fraction(1), Fraction(0))
+        out = _quadnum(self._d, 1, 0, 1)
         for _ in range(abs(n)):
             out = out * base
         return out
 
     def __neg__(self):
-        return QuadNum._new(self.disc, -self.rat, -self.rad)
+        return _quadnum(self._d, -self._x, -self._y, self._z)
 
     def __pos__(self):
         return self
 
     def __bool__(self):
-        return self.rat != 0 or self.rad != 0
+        return self._x != 0 or self._y != 0
 
     def __eq__(self, other):
         if isinstance(other, QuadNum):
-            if self.rad == 0 and other.rad == 0:
-                return self.rat == other.rat
             return (
-                self.disc == other.disc
-                and self.rat == other.rat
-                and self.rad == other.rad
+                self._x == other._x
+                and self._y == other._y
+                and self._z == other._z
+                and (self._y == 0 or self._d == other._d)
             )
         if isinstance(other, (int, Fraction)):
-            return self.rad == 0 and self.rat == other
+            return self._y == 0 and self._x == other.numerator and self._z == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        if self.rad == 0:
+        if self._y == 0:
             return hash(self.rat)
-        return hash((self.disc, self.rat, self.rad))
+        return hash((self._d, self.rat, self.rad))
+
+    def __repr__(self) -> str:
+        return f"QuadNum(disc={self._d!r}, rat={self.rat!r}, rad={self.rad!r})"
 
     def __str__(self) -> str:
-        if self.rad == 0:
-            return str(self.rat)
-        tail = f"{abs(self.rad)}*sqrt({self.disc})"
-        if self.rat == 0:
-            return tail if self.rad > 0 else f"-{tail}"
-        sign = "+" if self.rad > 0 else "-"
-        return f"{self.rat} {sign} {tail}"
+        rat, rad = self.rat, self.rad
+        if rad == 0:
+            return str(rat)
+        tail = f"{abs(rad)}*sqrt({self._d})"
+        if rat == 0:
+            return tail if rad > 0 else f"-{tail}"
+        sign = "+" if rad > 0 else "-"
+        return f"{rat} {sign} {tail}"
 
     def to_json(self) -> dict:
-        return {"rat": str(self.rat), "rad": str(self.rad), "disc": self.disc}
+        return {"rat": str(self.rat), "rad": str(self.rad), "disc": self._d}
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuadNum":

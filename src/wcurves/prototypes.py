@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (
@@ -233,7 +232,7 @@ def enumerate_prototypes(D: int, kind: str = "W") -> list[Prototype]:
 
 def lambda_of(p: Prototype) -> QuadNum:
     """The module generator lambda = (-b + sqrt(D)) / (2a)."""
-    return QuadNum(p.D, Fraction(-p.b, 2 * p.a), Fraction(1, 2 * p.a))
+    return QuadNum(p.D, -p.b, 1) / (2 * p.a)
 
 
 def _require_kind_y(p: Prototype, op: str) -> None:

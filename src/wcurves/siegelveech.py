@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath
 
 from .euler import chi_W, chi_W_components
-from .exact import QuadNum, check_discriminant, decompose_discriminant, is_square
+from .exact import QuadNum, _quadnum, check_discriminant, decompose_discriminant, is_square
 from .prototypes import Prototype, _spin_applies, _spin_split, _w_cusps, lambda_of
 
 __all__ = [
@@ -55,7 +55,7 @@ def v_of_prototype(p: Prototype) -> QuadNum:
         _check_sv_discriminant(p.D)  # raises the square-regime error
     lam = lambda_of(p)
     lam2 = lam * lam
-    lead = Fraction(-p.c, math.gcd(p.a, p.c))
+    lead = -p.c // math.gcd(p.a, p.c)
     out = lead * (1 - Fraction(p.a, p.c) * lam2) * (1 + lam2.inverse())
     assert out.sign1() > 0
     return out
@@ -67,12 +67,13 @@ def _v_sums(D: int) -> tuple[QuadNum, QuadNum]:
     v depends on the triple (a, b, c) only:
     v = (D(a - c) + b(a + c) sqrt(D)) / (2|ac| gcd(a, c)), weighted by the
     number of residues q of the triple.  Outside the split regime every
-    cusp counts toward the first sum.  D must already be checked.
+    cusp counts toward the first sum.  Numerators are summed in integers
+    per denominator, and the denominators are brought together once.
+    D must already be checked.
     """
     split = _spin_applies(D)
     f = decompose_discriminant(D)[1] if split else 0
-    rat = [Fraction(0), Fraction(0)]
-    rad = [Fraction(0), Fraction(0)]
+    sums = ({}, {})  # per spin: denominator -> [sum of k*x, sum of k*y]
     for a, b, c, n in _w_cusps(D):
         x, y = D * (a - c), b * (a + c)
         # x > 0, so x + y sqrt(D) > 0 unless y < 0 and y^2 D >= x^2
@@ -80,9 +81,21 @@ def _v_sums(D: int) -> tuple[QuadNum, QuadNum]:
         den = -2 * a * c * math.gcd(a, c)
         for eps, k in enumerate(_spin_split(a, b, c, n, f) if split else (n, 0)):
             if k:
-                rat[eps] += Fraction(k * x, den)
-                rad[eps] += Fraction(k * y, den)
-    return QuadNum._new(D, rat[0], rad[0]), QuadNum._new(D, rat[1], rad[1])
+                acc = sums[eps].setdefault(den, [0, 0])
+                acc[0] += k * x
+                acc[1] += k * y
+    return _over_lcm(D, sums[0]), _over_lcm(D, sums[1])
+
+
+def _over_lcm(D: int, sums: dict[int, list[int]]) -> QuadNum:
+    """The sum of (x + y sqrt(D))/den over the items den: [x, y] of sums."""
+    z = math.lcm(*sums)
+    x = y = 0
+    for den, (u, v) in sums.items():
+        m = z // den
+        x += u * m
+        y += v * m
+    return _quadnum(D, x, y, z)
 
 
 def _constants(D: int) -> tuple[QuadNum, tuple[QuadNum, QuadNum] | None, QuadNum]:

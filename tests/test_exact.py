@@ -367,3 +367,133 @@ def test_sign_near_norm_zero():
                 _assert_signs(x)
                 _assert_signs(-x)
 
+
+
+def test_public_constructor_runs_the_hook_once_and_arithmetic_never(monkeypatch):
+    # The benchmark tracer counts validated constructions by wrapping this hook.
+    calls = []
+    hook = QuadNum.__post_init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return hook(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuadNum, "__post_init__", counted)
+    x = QuadNum(13, 1, 1)
+    assert len(calls) == 1
+    y = QuadNum(13, Fraction(1, 2), Fraction(-3, 5))
+    two, three = QuadNum(5, 2), QuadNum(8, 3)
+    assert len(calls) == 4
+    h = Fraction(1, 3)
+    chain = [
+        x + y, x - y, x * y, x / y, x ** 3, x ** -2, x ** 0, -x, +x,
+        x.inverse(), x.galois_conjugate(),
+        x + 2, 2 + x, x - h, h - x, x * h, h * x, x / 2, 2 / x, x / h, h / x,
+        two + x, x * three, sum([x, y, two]),
+    ]
+    assert all(isinstance(z, QuadNum) for z in chain)
+    assert len(calls) == 4
+
+
+# A Fraction-pair reference for QuadNum: (rat, rad) pairs combined with the
+# formulas QuadNum used while it held Fraction coordinates.
+
+def _ref_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _ref_sub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _ref_mul(disc, a, b):
+    return a[0] * b[0] + disc * a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _ref_norm(disc, a):
+    return a[0] * a[0] - disc * a[1] * a[1]
+
+
+def _ref_inverse(disc, a):
+    n = _ref_norm(disc, a)
+    return a[0] / n, -a[1] / n
+
+
+_oracle_discs = st.sampled_from([1, 4, 5, 8, 9, 13, 25, 49, 173, 10**6 + 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rationals, _rationals, _rationals, _rationals, _scalars, _oracle_discs,
+       st.booleans(), st.integers(min_value=-3, max_value=3))
+def test_operators_match_the_fraction_reference(p, q, r, s, k, disc, tie, n):
+    d = math.isqrt(disc)
+    square = d * d == disc
+    if tie and square:
+        p = d * q  # a zero divisor
+    x, y = QuadNum(disc, p, q), QuadNum(disc, r, s)
+    a, b, kk = (p, q), (r, s), (Fraction(k), Fraction(0))
+    cases = [
+        (x + y, _ref_add(a, b)), (x - y, _ref_sub(a, b)), (x * y, _ref_mul(disc, a, b)),
+        (-x, (-p, -q)), (x.galois_conjugate(), (p, -q)),
+        (x + k, _ref_add(a, kk)), (k + x, _ref_add(kk, a)),
+        (x - k, _ref_sub(a, kk)), (k - x, _ref_sub(kk, a)),
+        (x * k, _ref_mul(disc, a, kk)), (k * x, _ref_mul(disc, kk, a)),
+    ]
+    if k != 0:
+        cases.append((x / k, (p / k, q / k)))
+    if _ref_norm(disc, b) != 0:
+        cases.append((x / y, _ref_mul(disc, a, _ref_inverse(disc, b))))
+    if _ref_norm(disc, a) != 0:
+        inv = _ref_inverse(disc, a)
+        cases += [(x.inverse(), inv), (k / x, _ref_mul(disc, kk, inv))]
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    if n >= 0 or _ref_norm(disc, a) != 0:
+        base = a if n >= 0 else _ref_inverse(disc, a)
+        power = (Fraction(1), Fraction(0))
+        for _ in range(abs(n)):
+            power = _ref_mul(disc, power, base)
+        cases.append((x**n, power))
+    for got, (rat, rad) in cases:
+        assert got.disc == disc
+        assert type(got.rat) is Fraction and type(got.rad) is Fraction
+        assert (got.rat, got.rad) == (rat, rad)
+    got = [x.norm(), x.trace()]
+    want = [_ref_norm(disc, a), 2 * p]
+    if square:
+        got += [x.embed1(), x.embed2()]
+        want += [p + q * d, p - q * d]
+    for g, w in zip(got, want):
+        assert type(g) is Fraction and g == w
+    _assert_signs(x)
+    _assert_signs(y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rationals, _rationals, st.integers(min_value=2, max_value=50), _oracle_discs)
+def test_every_route_gives_one_form(p, q, m, disc):
+    x = QuadNum(disc, p, q)
+    routes = [
+        QuadNum(disc, Fraction(p.numerator * m, p.denominator * m),
+                Fraction(q.numerator * m, q.denominator * m)),
+        QuadNum(disc, p * m, q * m) / m,
+        QuadNum(disc, p) + QuadNum(disc, 0, q),
+        (x * m + x) / (m + 1),
+        QuadNum.from_json(x.to_json()),
+    ]
+    for z in routes:
+        assert z == x and z.disc == disc
+        assert hash(z) == hash(x)
+        assert str(z) == str(x) and repr(z) == repr(x)
+    if q == 0:
+        assert x == p and hash(x) == hash(p) and x == QuadNum(disc + 4, p)
+
+
+def test_quadnum_is_immutable():
+    x = QuadNum(13, Fraction(1, 2), Fraction(3, 4))
+    for name in ("disc", "rat", "rad", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    assert x == QuadNum(13, Fraction(1, 2), Fraction(3, 4))
+    assert repr(x) == "QuadNum(disc=13, rat=Fraction(1, 2), rad=Fraction(3, 4))"

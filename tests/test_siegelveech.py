@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 from collections import Counter
@@ -185,3 +186,10 @@ def test_spin_split_matches_enumerated_spins():
         for a, b, c, n in _w_cusps(D):
             want = (spins[(a, b, c, 0)], spins[(a, b, c, 1)])
             assert _spin_split(a, b, c, n, f) == want, (D, a, b, c)
+
+
+def test_closed_form_matches_quadnum_oracle_at_large_d():
+    # split, nonsplit odd and even D; each has over 100 distinct denominators
+    for D in (50033, 50021, 50020):
+        assert len({-2 * a * c * math.gcd(a, c) for a, b, c, n in _w_cusps(D)}) > 100
+        assert _v_sums(D) == tuple(_oracle(D)), D
