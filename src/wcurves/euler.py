@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from .exact import (
     _factor,
+    _sigma,
     check_discriminant,
     decompose_discriminant,
     divisors,
@@ -54,21 +55,27 @@ __all__ = [
 def h2(D: int) -> Fraction:
     """Weight 2 class number series coefficient H(2, D).
 
-    Defined for D >= 0 with D = 0 or 1 (mod 4); H(2, 0) = -1/120.
+    Its domain is the integers D >= 0 with D = 0 or 1 (mod 4).  For D >= 1
+
+        H(2, D) = -(1/5) * sum over e = D (mod 2), e^2 <= D,
+                  of sigma_1((D - e^2)/4),  minus D/10 at square D,
+
+    with e running over both signs.  The terms with D > e^2 are summed
+    as integers; at square D = d^2 the two terms e = +-d are
+    sigma_1(0) = -1/24 each.  H(2, 0) = -1/120.
     """
+    check_discriminant(D, minimum=0)
     if D == 0:
         return Fraction(-1, 120)
-    check_discriminant(D)
-    total = Fraction(0)
-    e = D % 2
-    while e * e <= D:
-        term = sigma(1, (D - e * e) // 4)
-        total += term if e == 0 else 2 * term
-        e += 2
-    out = -total / 5
+    total = 2 * sum(
+        _sigma(1, (D - e * e) // 4) for e in range(2 - D % 2, math.isqrt(D - 1) + 1, 2)
+    )
+    if D % 2 == 0:
+        total += _sigma(1, D // 4)
     if is_square(D):
-        out -= Fraction(D, 10)
-    return out
+        # -(total - 2/24)/5 - D/10
+        return Fraction(1 - 12 * total - 6 * D, 60)
+    return Fraction(-total, 5)
 
 
 def zeta_minus_one(d0: int) -> Fraction:
@@ -373,7 +380,7 @@ def euler_report(D: int) -> EulerReport:
         chi_q=chis.get("Q"),
         chi_s=chis.get("S"),
         components=num_components(D),
-        cusps_two_cylinder=sum(n for *_, n in _w_cusps(D)),
+        cusps_two_cylinder=sum(n for _, _, _, n in _w_cusps(D)),
         cusps_one_cylinder=one_cyl,
         cusps_one_cylinder_spin=one_spin,
     )

@@ -87,22 +87,29 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _sigma(m: int, n: int) -> int:
+    """Divisor power sum sigma_m(n) of n >= 1, unchecked."""
+    total = 1
+    for p, e in _factor(n):
+        total *= (p ** (m * (e + 1)) - 1) // (p**m - 1)
+    return total
+
+
 def sigma(m: int, n: int) -> Fraction:
-    """Divisor power sum sigma_m(n) for m in {1, 3}.
+    """Divisor power sum sigma_m(n) for m in {1, 3} and an integer n.
 
     Negative arguments give 0; the boundary value sigma_m(0) is the
     zeta-regularized zeta(-m)/2, i.e. -1/24 for m = 1 and 1/240 for m = 3.
     """
     if m not in (1, 3):
         raise ValueError(f"sigma is implemented for m in {{1, 3}}, got {m}")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"sigma needs an integer argument, got {n!r}")
     if n < 0:
         return Fraction(0)
     if n == 0:
         return Fraction(-1, 24) if m == 1 else Fraction(1, 240)
-    total = 1
-    for p, e in _factor(n):
-        total *= (p ** (m * (e + 1)) - 1) // (p**m - 1)
-    return Fraction(total)
+    return Fraction(_sigma(m, n))
 
 
 def mobius(n: int) -> int:

@@ -143,7 +143,9 @@ def canonical(p: Prototype) -> Prototype:
 def _triples(D: int) -> tuple[tuple[int, int, int], ...]:
     """Each (a, b, c) with b^2 - 4ac = D, a > 0, c <= 0 and a + b + c <= 0, once.
 
-    The scan runs over b, then over the divisor pairs of -ac = (D - b^2)/4.
+    The scan runs over the b with b^2 <= D and b = D (mod 2), the only b
+    with 4 | D - b^2, then over the divisors a <= isqrt(t) of
+    t = -ac = (D - b^2)/4, giving (a, b, -t//a) before (t//a, b, -a).
     For square D = d^2 the degenerate triples (a, -d, 0) have 0 < a < d:
     (d, -d, 0) is both terminal and degenerate, which no kind admits.
     The cache holds one discriminant, so the per-D reports and the three
@@ -151,20 +153,19 @@ def _triples(D: int) -> tuple[tuple[int, int, int], ...]:
     """
     out = []
     d = math.isqrt(D)
-    for b in range(-d, d + 1):
-        if (D - b * b) % 4:
-            continue
+    for b in range(-d + (d + D) % 2, d + 1, 2):
         t = (D - b * b) // 4  # t = -a*c >= 0
         if t == 0:
             if b < 0:
                 out.extend((a, b, 0) for a in range(1, d))
             continue
-        for a in range(1, math.isqrt(t) + 1):
-            if t % a == 0:
-                for aa in (a, t // a) if a * a != t else (a,):
-                    c = -(t // aa)
-                    if aa + b + c <= 0:
-                        out.append((aa, b, c))
+        for a in [a for a in range(1, math.isqrt(t) + 1) if t % a == 0]:
+            aa = t // a
+            # a <= aa, so (aa, b, -a) has the larger sum a + b + c.
+            if a + b <= aa:
+                out.append((a, b, -aa))
+                if aa != a and aa + b <= a:
+                    out.append((aa, b, -a))
     return tuple(out)
 
 
@@ -172,14 +173,14 @@ def _w_cusps(D: int):
     """(a, b, c, n) for each kind W triple, n the number of its residues q.
 
     The residues are the q mod m = gcd(a, c) coprime to g = gcd(a, b, c),
-    and g divides m, so n = phi(g) * m / g.
+    and g divides m, so n = phi(g) * m / g, which is m when g = 1.
     """
     c_top, s_top = _BOUNDS["W"]
     for a, b, c in _triples(D):
         if c < c_top and a + b + c < s_top:
             m = math.gcd(a, c)
             g = math.gcd(m, b)
-            yield a, b, c, euler_phi(g) * (m // g)
+            yield a, b, c, m if g == 1 else euler_phi(g) * (m // g)
 
 
 def _unchecked(kind: str, D: int, a: int, b: int, c: int, q: int) -> Prototype:

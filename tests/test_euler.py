@@ -21,7 +21,9 @@ from wcurves.euler import (
     rm_prototypes,
     zeta_minus_one,
 )
+from wcurves.exact import divisors, is_square, mobius, sigma
 from wcurves.prototypes import enumerate_prototypes
+from wcurves.reference import reference_tuples
 
 
 def test_h2_low_values():
@@ -49,6 +51,44 @@ def test_h2_rejects_non_discriminants():
         h2(7)
     with pytest.raises(ValueError):
         h2(-4)
+
+
+def test_h2_rejects_non_integers():
+    # Cached integer values must not answer for equal keys of other types.
+    assert h2(0) == Fraction(-1, 120) and h2(1) == Fraction(-1, 12)
+    for D in (False, True, 0.0, 1.0, 4.0, Fraction(5)):
+        with pytest.raises(ValueError, match="need an integer >= 0 congruent"):
+            h2(D)
+
+
+def _h2_by_sigma(D):
+    """h2 by the Fraction formula from the public sigma, with its D = 0 row."""
+    if D == 0:
+        return Fraction(-1, 120)
+    total = Fraction(0)
+    e = D % 2
+    while e * e <= D:
+        term = sigma(1, (D - e * e) // 4)
+        total += term if e == 0 else 2 * term
+        e += 2
+    out = -total / 5
+    if is_square(D):
+        out -= Fraction(D, 10)
+    return out
+
+
+def test_h2_matches_the_sigma_formula():
+    for D in range(0, 4001):
+        if D % 4 in (0, 1):
+            assert h2(D) == _h2_by_sigma(D), D
+
+
+def test_h2_at_square_d_matches_cohen():
+    # H(2, d^2) = L(-1, chi_1) * sum over r | d of mu(r) r sigma_3(d/r),
+    # with L(-1, chi_1) = zeta(-1) = -1/12.
+    for d in range(1, 301):
+        want = Fraction(-1, 12) * sum(mobius(r) * r * sigma(3, d // r) for r in divisors(d))
+        assert h2(d * d) == want, d
 
 
 def test_zeta_minus_one():
@@ -199,6 +239,13 @@ def test_euler_report_two_cylinder_cusps_count_w_prototypes():
     for D in range(1, 301):
         if D % 4 in (0, 1):
             want = len(enumerate_prototypes(D, "W"))
+            assert euler_report(D).cusps_two_cylinder == want, D
+
+
+def test_euler_report_two_cylinder_cusps_match_the_reference_enumerator():
+    for D in range(5, 301):
+        if D % 4 in (0, 1):
+            want = len(reference_tuples(D, "W"))
             assert euler_report(D).cusps_two_cylinder == want, D
 
 

@@ -68,6 +68,13 @@ def test_sigma_values():
     assert sigma(3, -8) == 0
 
 
+def test_sigma_rejects_non_integers():
+    for n in (False, True, 2.0, Fraction(4)):
+        for m in (1, 3):
+            with pytest.raises(ValueError, match="^sigma needs an integer argument, got "):
+                sigma(m, n)
+
+
 def test_sigma_multiplicative():
     for m in (1, 3):
         assert sigma(m, 6) == sigma(m, 2) * sigma(m, 3)

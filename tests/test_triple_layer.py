@@ -5,10 +5,12 @@
 Prototypes without running `__post_init__`, and `build_complex` groups the
 cusps by the integer key `_y_key` instead of through `y_image`.  These tests
 rebuild every such Prototype through the validating constructor, compare
-the complex's fibers with a grouping by `y_image`, and pin the
-one-discriminant caches and the construction count.
+the complex's fibers with a grouping by `y_image`, pin the scan `_triples`
+to a brute-force (a, c) grid, and pin the one-discriminant caches and the
+construction count.
 """
 
+import math
 import sys
 from collections import defaultdict
 
@@ -79,6 +81,31 @@ def test_complex_fibers_match_the_public_route():
             p = edge.prototype
             if not p.is_terminal:
                 assert edge.dst == _node_id(*next_prototype(p).abcq), (D, p)
+
+
+def _grid_triples(D):
+    """_triples(D) by brute force over the (a, c) grid, in the scan's order.
+
+    That order is b ascending, then the smaller divisor min(a, -c) of
+    t = -ac ascending, a before t // a; the degenerate run c = 0 by a.
+    """
+    found = []
+    for a in range(1, max(D // 4, math.isqrt(D)) + 1):
+        for negc in range(D // (4 * a) + 1):
+            bb = D - 4 * a * negc
+            r = math.isqrt(bb)
+            if r * r == bb:
+                for b in {r, -r}:
+                    s = a + b - negc
+                    if s <= 0 and (negc or s):
+                        found.append((a, b, -negc))
+    return sorted(found, key=lambda t: (t[1], min(t[0], -t[2]) if t[2] else t[0], t[0] > -t[2]))
+
+
+def test_triples_match_the_grid():
+    for D in [*range(1, 1501), 19881, 20001, 50020, 50021, 50033]:
+        if is_discriminant(D):
+            assert list(_triples(D)) == _grid_triples(D), D
 
 
 def test_triples_cache_holds_one_discriminant():
