@@ -20,16 +20,10 @@ from . import boundary as boundary_mod
 from . import euler as euler_mod
 from . import siegelveech as sv_mod
 from . import verify as verify_mod
-from .exact import check_discriminant, is_discriminant
+from .exact import _discriminants, check_discriminant
 from .prototypes import enumerate_prototypes, prototype_to_json
 
 TABLE1_D = (5, 8, 12, 13, 17, 20, 21, 24, 28, 29)
-
-
-def _discriminants(dmin: int, dmax: int):
-    for D in range(max(dmin, 1), dmax + 1):
-        if is_discriminant(D):
-            yield D
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -180,9 +174,12 @@ def _cmd_tables(args) -> int:
 def _parse_shard(text: str) -> tuple[int, int]:
     try:
         index, count = text.split("/")
-        return int(index), int(count)
+        index, count = int(index), int(count)
     except ValueError:
-        raise ValueError(f"bad --shard {text!r}: expected i/n such as 0/4")
+        raise ValueError(f"bad --shard {text}: expected i/n such as 0/4")
+    if not verify_mod._shard_ok(index, count):
+        raise ValueError(f"bad --shard {text}: need 0 <= i < n")
+    return index, count
 
 
 def _cmd_verify(args) -> int:

@@ -14,7 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (
+    _discriminants,
     _factor,
+    _integer,
     _sigma,
     check_discriminant,
     decompose_discriminant,
@@ -160,8 +162,7 @@ def chi_S(D: int) -> Fraction:
 
 def psi(m: int) -> Fraction:
     """-(m/6) times the product of (1 + 1/p) over primes p | m."""
-    if m < 1:
-        raise ValueError(f"psi needs m >= 1, got {m}")
+    _integer(m, "psi", "m", 1)
     out = Fraction(-m, 6)
     for p, _ in _factor(m):
         out *= Fraction(p + 1, p)
@@ -204,8 +205,7 @@ def one_cylinder_cusps(d: int) -> tuple[int, int | None, int | None]:
 
     Needs d > 3.  Even d has no spin splitting and returns (total, None, None).
     """
-    if d <= 3:
-        raise ValueError(f"one-cylinder counts need side length d > 3, got {d}")
+    _integer(d, "one_cylinder_cusps", "d", 4)
     total, split = _one_cylinder(d * d)
     return (total, *(split or (None, None)))
 
@@ -388,4 +388,4 @@ def euler_report(D: int) -> EulerReport:
 
 def h_table(dmin: int, dmax: int) -> list[tuple[int, Fraction]]:
     """Rows (D, H(2, D)) for discriminants in [dmin, dmax], 0 allowed."""
-    return [(D, h2(D)) for D in range(max(dmin, 0), dmax + 1) if D % 4 in (0, 1)]
+    return [(D, h2(D)) for D in _discriminants(dmin, dmax, minimum=0)]

@@ -9,6 +9,15 @@ on the way.  Its coordinates rat = x/z and rad = y/z, its norm and trace,
 and the other rationals of this module are fractions.Fraction.  Square
 discriminants are allowed: Q[sqrt(d^2)] is isomorphic to Q (+) Q, it has
 zero divisors, and its two coordinate projections stay exact.
+
+The module also owns two input rules that every layer asks.  The integer
+rule (`_is_integer`, and `_integer` that raises) accepts an int that is
+not a bool and is at least a stated minimum where there is one; the
+public integer helpers below check their arguments with it, and the
+predicates `is_square` and `is_discriminant` return False where it
+fails.  The range walker `_discriminants` yields each discriminant of
+[dmin, dmax] at or above a minimum, ascending; the CLI, `verify_range`
+and `h_table` walk their ranges with it.
 """
 
 from __future__ import annotations
@@ -32,15 +41,38 @@ __all__ = [
 ]
 
 
+def _is_integer(value, minimum: int | None = None) -> bool:
+    """The integer rule: an int, not a bool, and >= minimum when one is given."""
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and (minimum is None or value >= minimum)
+    )
+
+
+def _integer(value, func: str, param: str, minimum: int | None = None) -> None:
+    """Raise a ValueError naming func and param unless value meets the integer rule."""
+    if not _is_integer(value, minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{func} needs an integer {param}{bound}, got {value!r}")
+
+
+def _discriminants(dmin: int, dmax: int, minimum: int = 1):
+    """Each D in [dmin, dmax] with D >= minimum and D = 0 or 1 (mod 4), ascending."""
+    _integer(dmin, "a discriminant range", "dmin")
+    _integer(dmax, "a discriminant range", "dmax")
+    return (D for D in range(max(dmin, minimum), dmax + 1) if D % 4 in (0, 1))
+
+
 def is_square(n: int) -> bool:
-    if n < 0:
+    if not _is_integer(n, 0):
         return False
     r = math.isqrt(n)
     return r * r == n
 
 
 def is_discriminant(D: int, minimum: int = 1) -> bool:
-    return isinstance(D, int) and not isinstance(D, bool) and D >= minimum and D % 4 in (0, 1)
+    return _is_integer(D, minimum) and D % 4 in (0, 1)
 
 
 def check_discriminant(D: int, minimum: int = 1) -> None:
@@ -79,8 +111,7 @@ def _factor(n: int) -> tuple[tuple[int, int], ...]:
 
 def divisors(n: int) -> list[int]:
     """Positive divisors of n >= 1 in increasing order."""
-    if n < 1:
-        raise ValueError(f"divisors needs n >= 1, got {n}")
+    _integer(n, "divisors", "n", 1)
     out = [1]
     for p, e in _factor(n):
         out = [d * p**k for d in out for k in range(e + 1)]
@@ -101,10 +132,10 @@ def sigma(m: int, n: int) -> Fraction:
     Negative arguments give 0; the boundary value sigma_m(0) is the
     zeta-regularized zeta(-m)/2, i.e. -1/24 for m = 1 and 1/240 for m = 3.
     """
+    _integer(m, "sigma", "m")
     if m not in (1, 3):
         raise ValueError(f"sigma is implemented for m in {{1, 3}}, got {m}")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"sigma needs an integer argument, got {n!r}")
+    _integer(n, "sigma", "n")
     if n < 0:
         return Fraction(0)
     if n == 0:
@@ -113,8 +144,7 @@ def sigma(m: int, n: int) -> Fraction:
 
 
 def mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"mobius needs n >= 1, got {n}")
+    _integer(n, "mobius", "n", 1)
     fac = _factor(n)
     if any(e > 1 for _, e in fac):
         return 0
@@ -122,8 +152,7 @@ def mobius(n: int) -> int:
 
 
 def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"euler_phi needs n >= 1, got {n}")
+    _integer(n, "euler_phi", "n", 1)
     out = n
     for p, _ in _factor(n):
         out = out // p * (p - 1)
@@ -143,8 +172,8 @@ def _kronecker_prime(a: int, p: int) -> int:
 
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a / n) for n >= 1, completely multiplicative in n."""
-    if n < 1:
-        raise ValueError(f"kronecker needs a positive bottom, got {n}")
+    _integer(a, "kronecker", "a")
+    _integer(n, "kronecker", "n", 1)
     out = 1
     for p, e in _factor(n):
         s = _kronecker_prime(a, p)
@@ -176,8 +205,8 @@ def mobius_weighted_sum(d0: int, n: int) -> Fraction:
     Computed as its Euler product over the primes p | n of
     1 - kronecker(d0, p) / p^2.
     """
-    if n < 1:
-        raise ValueError(f"mobius_weighted_sum needs n >= 1, got {n}")
+    _integer(d0, "mobius_weighted_sum", "d0")
+    _integer(n, "mobius_weighted_sum", "n", 1)
     num = den = 1
     for p, _ in _factor(n):
         num *= p * p - _kronecker_prime(d0, p)

@@ -26,6 +26,7 @@ from functools import lru_cache
 
 from .exact import (
     QuadNum,
+    _integer,
     check_discriminant,
     decompose_discriminant,
     euler_phi,
@@ -55,12 +56,8 @@ __all__ = [
 _BOUNDS = {"Y": (1, 1), "P": (0, 1), "W": (0, 0)}
 
 
-def _gcd3(a: int, b: int, c: int) -> int:
-    return math.gcd(a, math.gcd(b, c))
-
-
 def _kind_modulus(kind: str, a: int, b: int, c: int) -> int:
-    return _gcd3(a, b, c) if kind == "Y" else math.gcd(a, c)
+    return math.gcd(a, b, c) if kind == "Y" else math.gcd(a, c)
 
 
 @dataclass(frozen=True)
@@ -79,6 +76,8 @@ class Prototype:
             raise ValueError(f"unknown prototype kind {self.kind!r}")
         check_discriminant(self.D)
         a, b, c, q = self.a, self.b, self.c, self.q
+        for name in "abcq":
+            _integer(getattr(self, name), "Prototype", name)
         if b * b - 4 * a * c != self.D:
             raise ValueError(
                 f"({a},{b},{c}) has discriminant {b * b - 4 * a * c}, not {self.D}"
@@ -93,7 +92,7 @@ class Prototype:
         m = self.modulus
         if not 0 <= q < m:
             raise ValueError(f"residue q={q} outside Z/{m}")
-        if math.gcd(_gcd3(a, b, c), q) != 1:
+        if math.gcd(a, b, c, q) != 1:
             raise ValueError(f"({a},{b},{c},{q}) violates gcd(a,b,c,q) = 1")
 
     @property
@@ -131,7 +130,7 @@ def _canonical_triple(kind: str, a: int, b: int, c: int) -> tuple[int, int, int]
 
 def _y_key(a: int, b: int, c: int, q: int) -> tuple[int, int, int, int]:
     """Junction key of (a, b, c, q): the Y-canonical triple, q mod gcd(a, b, c)."""
-    return (*_canonical_triple("Y", a, b, c), q % _gcd3(a, b, c))
+    return (*_canonical_triple("Y", a, b, c), q % math.gcd(a, b, c))
 
 
 def canonical(p: Prototype) -> Prototype:
@@ -213,7 +212,7 @@ def _enumerate(D: int, kind: str) -> tuple[Prototype, ...]:
         if c >= c_top or a + b + c >= s_top:
             continue
         triple = _canonical_triple(kind, a, b, c)
-        g = _gcd3(*triple)
+        g = math.gcd(*triple)
         seen.update(
             triple + (q,)
             for q in range(_kind_modulus(kind, *triple))
@@ -289,13 +288,13 @@ def multiplicity(p: Prototype) -> int:
     _require_kind_y(p, "multiplicity")
     if p.is_degenerate:
         raise ValueError(f"multiplicity is undefined on the degenerate {p}")
-    return math.gcd(p.a, p.c) // _gcd3(p.a, p.b, p.c)
+    return math.gcd(p.a, p.c) // math.gcd(p.a, p.b, p.c)
 
 
 def orbifold_order(p: Prototype) -> int:
     """Orbifold order of the junction point indexed by p."""
     _require_kind_y(p, "orbifold_order")
-    g = _gcd3(p.a, p.b, p.c)
+    g = math.gcd(p.a, p.b, p.c)
     a, b, c = p.a // g, p.b // g, p.c // g
     u = math.gcd(a, c) * math.gcd(a, b + c)
     assert a % u == 0
@@ -348,6 +347,8 @@ def y_image(p: Prototype) -> Prototype:
 
 def from_splitting_prototype(a: int, b: int, c: int, e: int) -> Prototype:
     """Kind W prototype (c, e, -b, a mod gcd(c, b)) of a splitting quadruple."""
+    for name, value in zip("abce", (a, b, c, e)):
+        _integer(value, "from_splitting_prototype", name)
     D = e * e + 4 * b * c
     check_discriminant(D)
     g = math.gcd(c, b)

@@ -14,7 +14,14 @@ from fractions import Fraction
 import mpmath
 
 from .euler import chi_W, chi_W_components
-from .exact import QuadNum, _quadnum, check_discriminant, decompose_discriminant, is_square
+from .exact import (
+    QuadNum,
+    _integer,
+    _quadnum,
+    check_discriminant,
+    decompose_discriminant,
+    is_square,
+)
 from .prototypes import Prototype, _spin_applies, _spin_split, _w_cusps, lambda_of
 
 __all__ = [
@@ -156,8 +163,7 @@ def _real1(x: QuadNum) -> mpmath.mpf:
 
 
 def _coefficient(c: QuadNum, area: QuadNum, digits: int) -> str:
-    if digits < 1:
-        raise ValueError(f"need at least 1 significant digit, got digits={digits}")
+    _integer(digits, "the coefficient", "digits", 1)
     with mpmath.workdps(digits + 15):
         val = _real1(c) * mpmath.pi / _real1(area)
         return mpmath.nstr(val, digits, strip_zeros=False)

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import boundary, euler, reference, siegelveech
-from .exact import check_discriminant, decompose_discriminant, is_discriminant, is_square
+from .exact import (
+    _discriminants,
+    _is_integer,
+    check_discriminant,
+    decompose_discriminant,
+    is_square,
+)
 from .prototypes import (
     _spin,
     _spin_applies,
@@ -273,14 +279,17 @@ def verify_range(dmin: int, dmax: int, shard: tuple[int, int] = (0, 1)) -> list[
     shard = (i, n) keeps only every n-th discriminant starting at offset i.
     """
     index, count = shard
-    if count < 1 or not 0 <= index < count:
-        raise ValueError(f"bad shard {shard}")
-    out = []
-    pos = 0
-    for D in range(max(dmin, 1), dmax + 1):
-        if not is_discriminant(D):
-            continue
-        if pos % count == index:
-            out.append(verify_discriminant(D))
-        pos += 1
-    return out
+    if not _shard_ok(index, count):
+        raise ValueError(
+            f"verify_range needs a shard (i, n) of integers 0 <= i < n, got {shard!r}"
+        )
+    return [
+        verify_discriminant(D)
+        for pos, D in enumerate(_discriminants(dmin, dmax))
+        if pos % count == index
+    ]
+
+
+def _shard_ok(index: int, count: int) -> bool:
+    """Whether (index, count) is a shard: integers with 0 <= index < count."""
+    return _is_integer(index, 0) and _is_integer(count, index + 1)

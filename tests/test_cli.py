@@ -195,6 +195,24 @@ def test_verify_bad_shard(capsys):
     assert "shard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "shard, message",
+    [
+        ("3/2", "bad --shard 3/2: need 0 <= i < n"),
+        ("2/2", "bad --shard 2/2: need 0 <= i < n"),
+        ("-1/2", "bad --shard -1/2: need 0 <= i < n"),
+        ("0/0", "bad --shard 0/0: need 0 <= i < n"),
+        ("nope", "bad --shard nope: expected i/n such as 0/4"),
+        ("1/2/3", "bad --shard 1/2/3: expected i/n such as 0/4"),
+    ],
+)
+def test_verify_bad_shard_names_the_typed_value(capsys, shard, message):
+    assert main(["verify", "--dmin", "5", "--dmax", "12", f"--shard={shard}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "rows.csv"
     assert main(["tables", "--sv", "--output", str(target)]) == 0

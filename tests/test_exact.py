@@ -71,7 +71,7 @@ def test_sigma_values():
 def test_sigma_rejects_non_integers():
     for n in (False, True, 2.0, Fraction(4)):
         for m in (1, 3):
-            with pytest.raises(ValueError, match="^sigma needs an integer argument, got "):
+            with pytest.raises(ValueError, match="^sigma needs an integer n, got "):
                 sigma(m, n)
 
 
