@@ -324,7 +324,8 @@ def _ledger(D: int):
 def fundamental_class(D: int, name: str) -> CohClass:
     """Compactified fundamental class of W, P, W0, W1 or (square D) S1, S2."""
     classes = _ledger(D)[1]
-    name = name.upper()
+    if isinstance(name, str):
+        name = name.upper()
     if name not in classes:
         listed = ", ".join(classes)
         raise ValueError(f"no class {name!r} at D={D}; the classes at D={D} are {listed}")

@@ -78,7 +78,7 @@ def is_discriminant(D: int, minimum: int = 1) -> bool:
 def check_discriminant(D: int, minimum: int = 1) -> None:
     if not is_discriminant(D, minimum):
         raise ValueError(
-            f"invalid discriminant {D}: need an integer >= {minimum} "
+            f"invalid discriminant {D!r}: need an integer >= {minimum} "
             "congruent to 0 or 1 mod 4"
         )
 
@@ -467,4 +467,19 @@ class QuadNum:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuadNum":
-        return cls(int(obj["disc"]), Fraction(obj["rat"]), Fraction(obj["rad"]))
+        """Read a to_json record as written: disc an int, rat and rad its strings."""
+        return cls(obj["disc"], _fraction_text(obj, "rat"), _fraction_text(obj, "rad"))
+
+
+def _fraction_text(obj: dict, key: str) -> Fraction:
+    """obj[key] as to_json writes a Fraction, str of it in lowest terms ('-3/2', '0')."""
+    text = obj[key]
+    try:
+        value = Fraction(text) if isinstance(text, str) else None
+    except ValueError:
+        value = None
+    if value is None or str(value) != text:
+        raise ValueError(
+            f"QuadNum.from_json needs {key} as a fraction string such as '-3/2', got {text!r}"
+        )
+    return value

@@ -224,7 +224,8 @@ def _enumerate(D: int, kind: str) -> tuple[Prototype, ...]:
 def enumerate_prototypes(D: int, kind: str = "W") -> list[Prototype]:
     """All canonical prototypes of the given kind, sorted by (a, b, c, q)."""
     check_discriminant(D)
-    kind = kind.upper()
+    if isinstance(kind, str):
+        kind = kind.upper()
     if kind not in _BOUNDS:
         raise ValueError(f"unknown prototype kind {kind!r}")
     return list(_enumerate(D, kind))
@@ -407,13 +408,22 @@ def prototype_to_json(p: Prototype) -> dict:
 
 
 def prototype_from_json(obj: dict) -> Prototype:
-    """Rebuild and re-validate a prototype record."""
-    p = Prototype(
-        obj["kind"], int(obj["D"]), int(obj["a"]), int(obj["b"]), int(obj["c"]),
-        int(obj["q"]),
-    )
+    """Rebuild and re-validate a prototype record, coercing nothing.
+
+    Each field present must equal the rebuilt record's, type included.
+    """
+    p = Prototype(obj["kind"], obj["D"], obj["a"], obj["b"], obj["c"], obj["q"])
     rebuilt = prototype_to_json(p)
     for key, value in obj.items():
-        if rebuilt.get(key) != value:
+        if key not in rebuilt or not _same_json(rebuilt[key], value):
             raise ValueError(f"inconsistent prototype record: field {key!r}")
     return p
+
+
+def _same_json(x, y) -> bool:
+    """x == y with equal types throughout, so 1 matches neither True nor 1.0."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(_same_json(x[k], y[k]) for k in x)
+    return x == y

@@ -2,9 +2,12 @@
 
 The cases cover the sv text format, an undefined one-cylinder count
 (D = 9), the spin split of the one-cylinder cusps (D = 81), the
-boundary text format and the hseries text and json formats.  The euler and sv commands share one renderer, and
-the boundary complex takes its one-cylinder data from `euler`, so these
-strings hold the output of those shared paths fixed.
+boundary text format, the hseries text and json formats, and the verify
+report (per-D lines, the aligned tally table and the summary line) over
+D = 1..12, where the boundary and sv suites stop early.  The euler and sv
+commands share one renderer, and the boundary complex takes its
+one-cylinder data from `euler`, so these strings hold the output of
+those shared paths fixed.
 """
 
 import pytest
@@ -195,6 +198,60 @@ HSERIES_16_JSON = """\
 ]
 """
 
+VERIFY_1_12 = """\
+D=1: 9 checks, ok
+D=4: 19 checks, ok
+D=5: 39 checks, ok
+D=8: 53 checks, ok
+D=9: 36 checks, ok
+D=12: 67 checks, ok
+
+boundary_multiplicity    3
+canonical_P              6
+canonical_W              6
+canonical_Y              6
+complex_edges_closed     4
+complex_p_total          4
+complex_w_total          4
+components_vs_split      6
+degenerate_fiber         2
+enumeration_P            6
+enumeration_W            6
+enumeration_Y            6
+euler_chi_additivity     4
+euler_cusp_counts        6
+euler_euler_ratio        3
+euler_h2_sigma3          3
+euler_h_sum_chi_w        3
+euler_h_sum_chi_x        3
+euler_q_doubles_p        4
+euler_rm_route           5
+lambda_next              6
+lambda_norm              6
+lambda_prev              6
+ledger_p_squared         3
+ledger_w_dot_p           3
+ledger_w_squared         3
+multiplicity_positive    9
+next_of_prev             9
+next_permutes            3
+orbifold_order_positive  11
+orbits_cover             6
+p_fiber_size             7
+prev_of_next             9
+splitting_round_trip     7
+sv_positive              3
+sv_rational              3
+t_involutive             9
+t_next_is_prev_t         7
+tau_closed               8
+terminal_fiber           2
+v_positive               6
+w_fiber_size             7
+
+verified 6 discriminants: 223 checks passed, 0 failed
+"""
+
 
 @pytest.mark.parametrize(
     "argv, expected",
@@ -210,6 +267,7 @@ HSERIES_16_JSON = """\
         ("boundary --d 49", BOUNDARY_49_TEXT),
         ("hseries --dmax 16 --format text", HSERIES_16_TEXT),
         ("hseries --dmax 16 --format json", HSERIES_16_JSON),
+        ("verify --dmin 1 --dmax 12", VERIFY_1_12),
     ],
 )
 def test_output_is_pinned(capsys, argv, expected):

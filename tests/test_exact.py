@@ -222,6 +222,25 @@ def test_quadnum_json_round_trip():
     assert x.to_json() == {"rat": "3/2", "rad": "-1/2", "disc": 17}
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"disc": 5.7}, r"^invalid discriminant 5\.7: "),
+        ({"disc": True}, "^invalid discriminant True: "),
+        ({"disc": "5"}, "^invalid discriminant '5': "),
+        ({"rat": 0.1}, r"^QuadNum.from_json needs rat as a fraction string .*, got 0\.1$"),
+        ({"rat": 1}, "needs rat as a fraction string .*, got 1$"),
+        ({"rad": "2/4"}, "needs rad as a fraction string .*, got '2/4'$"),
+        ({"rad": "0.5"}, "needs rad as a fraction string .*, got '0.5'$"),
+        ({"rat": "x"}, "needs rat as a fraction string .*, got 'x'$"),
+    ],
+)
+def test_quadnum_from_json_coerces_nothing(fields, message):
+    # each field must be exactly what to_json writes
+    with pytest.raises(ValueError, match=message):
+        QuadNum.from_json({"rat": "3/2", "rad": "-1/2", "disc": 17, **fields})
+
+
 _rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 _discs = st.sampled_from([5, 8, 9, 12, 13, 17, 25, 44, 49, 173])
 

@@ -5,7 +5,8 @@ where there is one.  A public function, or the Prototype constructor,
 given a bool, a float or a Fraction for a parameter annotated int raises
 ValueError; the predicates is_square and is_discriminant return False.
 A new public integer parameter must be added to VALID below, so it
-cannot skip the rule unnoticed.
+cannot skip the rule unnoticed.  A prototype kind or class name that is
+not a string is unknown, with the same ValueError as any other.
 """
 
 import inspect
@@ -165,6 +166,21 @@ GARBAGE = [
     "name, args, message", GARBAGE, ids=[f"{name}{args}" for name, args, _ in GARBAGE]
 )
 def test_garbage_inputs_raise_naming_the_parameter(name, args, message):
+    with pytest.raises(ValueError, match=message):
+        getattr(wcurves, name)(*args)
+
+
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        ("enumerate_prototypes", (17, 5), "^unknown prototype kind 5$"),
+        ("enumerate_prototypes", (17, None), "^unknown prototype kind None$"),
+        ("enumerate_prototypes", (17, "x"), "^unknown prototype kind 'X'$"),
+        ("fundamental_class", (17, 5), "^no class 5 at D=17; the classes at D=17 are "),
+        ("fundamental_class", (17, None), "^no class None at D=17; "),
+    ],
+)
+def test_a_kind_or_class_that_is_not_a_string_is_unknown(name, args, message):
     with pytest.raises(ValueError, match=message):
         getattr(wcurves, name)(*args)
 

@@ -298,6 +298,28 @@ def test_json_tamper_detected():
         prototype_from_json(rec)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("a", True, "^Prototype needs an integer a, got True$"),
+        ("q", False, "^Prototype needs an integer q, got False$"),
+        ("D", 17.0, "^invalid discriminant 17.0: "),
+        ("b", -3.0, "^Prototype needs an integer b, got -3.0$"),
+        ("c", "-2", "^Prototype needs an integer c, got '-2'$"),
+        ("modulus", True, "field 'modulus'$"),
+        ("terminal", 0, "field 'terminal'$"),
+        ("lambda", {"rat": "3/2", "rad": "1/2", "disc": 17.0}, "field 'lambda'$"),
+        ("extra", None, "field 'extra'$"),
+    ],
+)
+def test_json_reader_coerces_nothing(key, value, message):
+    rec = prototype_to_json(Prototype("W", 17, 1, -3, -2, 0))
+    assert rec["lambda"] == {"rat": "3/2", "rad": "1/2", "disc": 17}
+    rec[key] = value
+    with pytest.raises(ValueError, match=message):
+        prototype_from_json(rec)
+
+
 def test_enumeration_matches_reference_oracle():
     for D in [D for D in range(1, 121) if D % 4 in (0, 1)]:
         for kind in ("Y", "W", "P"):

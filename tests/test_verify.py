@@ -59,8 +59,32 @@ def test_failed_check_is_reported(monkeypatch):
     assert r.passed == sum(n for _, n in r.tallies)
 
 
-# Per-suite tallies of verify_discriminant(41) (nonsquare, split) and of
-# verify_discriminant(49) (square, split).
+# Per-suite tallies of verify_discriminant(D) at the edges of the regimes:
+# D = 1 and 4 (below the boundary suite's floor of 5), D = 9 (square, below
+# the ledger's floor), D = 41 (nonsquare, split) and D = 49 (square, split).
+_TALLIES_1 = {
+    "canonical_P": 1, "canonical_W": 1, "canonical_Y": 1, "components_vs_split": 1,
+    "enumeration_P": 1, "enumeration_W": 1, "enumeration_Y": 1, "euler_cusp_counts": 1,
+    "orbits_cover": 1,
+}
+_TALLIES_4 = {
+    "boundary_multiplicity": 1, "canonical_P": 1, "canonical_W": 1, "canonical_Y": 1,
+    "components_vs_split": 1, "degenerate_fiber": 1, "enumeration_P": 1,
+    "enumeration_W": 1, "enumeration_Y": 1, "euler_cusp_counts": 1, "euler_rm_route": 1,
+    "multiplicity_positive": 1, "next_of_prev": 1, "orbifold_order_positive": 2,
+    "orbits_cover": 1, "prev_of_next": 1, "t_involutive": 1, "terminal_fiber": 1,
+}
+_TALLIES_9 = {
+    "boundary_multiplicity": 2, "canonical_P": 1, "canonical_W": 1, "canonical_Y": 1,
+    "complex_edges_closed": 1, "complex_p_total": 1, "complex_w_total": 1,
+    "components_vs_split": 1, "degenerate_fiber": 1, "enumeration_P": 1,
+    "enumeration_W": 1, "enumeration_Y": 1, "euler_chi_additivity": 1,
+    "euler_cusp_counts": 1, "euler_q_doubles_p": 1, "euler_rm_route": 1,
+    "multiplicity_positive": 2, "next_of_prev": 2, "orbifold_order_positive": 3,
+    "orbits_cover": 1, "p_fiber_size": 1, "prev_of_next": 2, "splitting_round_trip": 1,
+    "t_involutive": 2, "t_next_is_prev_t": 1, "tau_closed": 2, "terminal_fiber": 1,
+    "w_fiber_size": 1,
+}
 _TALLIES_41 = {
     "canonical_P": 1, "canonical_W": 1, "canonical_Y": 1, "complex_edges_closed": 1,
     "complex_p_total": 1, "complex_w_total": 1, "components_vs_split": 1,
@@ -94,7 +118,10 @@ _TALLIES_49 = {
 }
 
 
-@pytest.mark.parametrize("D, tallies", [(41, _TALLIES_41), (49, _TALLIES_49)])
+@pytest.mark.parametrize(
+    "D, tallies",
+    [(41, _TALLIES_41), (49, _TALLIES_49), (1, _TALLIES_1), (4, _TALLIES_4), (9, _TALLIES_9)],
+)
 def test_passing_checks_format_no_detail(monkeypatch, D, tallies):
     def refuse(self):
         raise AssertionError("a passing check formatted its detail")
@@ -121,6 +148,23 @@ def test_enumeration_failure_text(monkeypatch):
         " [(1, -1, -4, 0), (1, 1, -4, 0), (2, -3, -1, 0), (2, -1, -2, 0), (2, -1, -2, 1)]",
     )
     assert r.passed == 113
+
+
+def test_each_failure_is_formatted_before_the_suite_resumes(monkeypatch):
+    # The enumeration detail closes over the loop's lists, so a failure
+    # formatted after the suite moved on would show the last kind's (P's)
+    # lists.  At D = 17 the W and P lists coincide, so Y fails too.
+    full = reference.reference_tuples
+    monkeypatch.setattr(reference, "reference_tuples", lambda D, kind: full(D, kind)[1:])
+    r = verify_discriminant(17)
+    y = "(1, -1, -4, 0), (1, 1, -4, 0), (2, -3, -1, 0), (2, -1, -2, 0)"
+    w = f"{y}, (2, -1, -2, 1)"
+    assert r.failures == (
+        f"enumeration_Y: enumerator [(1, -3, -2, 0), {y}] vs reference [{y}]",
+        f"enumeration_W: enumerator [(1, -3, -2, 0), {w}] vs reference [{w}]",
+        f"enumeration_P: enumerator [(1, -3, -2, 0), {w}] vs reference [{w}]",
+    )
+    assert r.passed == 111
 
 
 def test_per_prototype_failure_text(monkeypatch):
