@@ -22,6 +22,7 @@ from functools import cached_property, lru_cache
 
 from .euler import _one_cylinder, chi_X
 from .exact import (
+    _is_name,
     check_discriminant,
     decompose_discriminant,
     euler_phi,
@@ -324,9 +325,8 @@ def _ledger(D: int):
 def fundamental_class(D: int, name: str) -> CohClass:
     """Compactified fundamental class of W, P, W0, W1 or (square D) S1, S2."""
     classes = _ledger(D)[1]
-    if isinstance(name, str):
-        name = name.upper()
-    if name not in classes:
+    name = name.upper() if isinstance(name, str) else name
+    if not _is_name(name, classes):
         listed = ", ".join(classes)
         raise ValueError(f"no class {name!r} at D={D}; the classes at D={D} are {listed}")
     return classes[name]

@@ -56,8 +56,7 @@ def _range_of(args) -> tuple[int, int]:
 
 
 def _cmd_prototypes(args) -> int:
-    kind = args.kind.upper()
-    protos = enumerate_prototypes(args.d, kind)
+    protos = enumerate_prototypes(args.d, args.kind)
     if args.format == "json":
         text = json.dumps([prototype_to_json(p) for p in protos], indent=2)
     elif args.format == "csv":

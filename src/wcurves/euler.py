@@ -263,34 +263,26 @@ def consistency_chain(D: int) -> list[ConsistencyCheck]:
     square = d0 == 1
     chi = _chis(D)
     if D >= 5 and not square:
+        h, rs = h2(D), divisors(f)
+        tables = [_chis(r * r * d0) for r in rs]
+        x_sum = sum((t["X"] for t in tables), Fraction(0))
+        w_sum = sum((t["W"] for t in tables), Fraction(0))
         checks.append(ConsistencyCheck("euler_ratio", chi["W"], -Fraction(9, 2) * chi["X"]))
         checks.append(
             ConsistencyCheck("chi_additivity", chi["W"], chi["P"] - 2 * chi["X"])
         )
-        checks.append(
-            ConsistencyCheck(
-                "h_sum_chi_x",
-                sum((chi_X(r * r * d0) for r in divisors(f)), Fraction(0)),
-                -h2(D) / 6,
-            )
-        )
-        checks.append(
-            ConsistencyCheck(
-                "h_sum_chi_w",
-                sum((chi_W(r * r * d0) for r in divisors(f)), Fraction(0)),
-                Fraction(3, 4) * h2(D),
-            )
-        )
+        checks.append(ConsistencyCheck("h_sum_chi_x", x_sum, -h / 6))
+        checks.append(ConsistencyCheck("h_sum_chi_w", w_sum, Fraction(3, 4) * h))
         checks.append(
             ConsistencyCheck(
                 "h2_sigma3",
-                h2(D),
+                h,
                 -12
                 * zeta_minus_one(d0)
                 * sum(
                     (
                         Fraction(mobius(r) * kronecker(d0, r) * r) * sigma(3, f // r)
-                        for r in divisors(f)
+                        for r in rs
                     ),
                     Fraction(0),
                 ),

@@ -10,14 +10,15 @@ and the other rationals of this module are fractions.Fraction.  Square
 discriminants are allowed: Q[sqrt(d^2)] is isomorphic to Q (+) Q, it has
 zero divisors, and its two coordinate projections stay exact.
 
-The module also owns two input rules that every layer asks.  The integer
+The module also owns the input rules that every layer asks.  The integer
 rule (`_is_integer`, and `_integer` that raises) accepts an int that is
 not a bool and is at least a stated minimum where there is one; the
 public integer helpers below check their arguments with it, and the
 predicates `is_square` and `is_discriminant` return False where it
-fails.  The range walker `_discriminants` yields each discriminant of
-[dmin, dmax] at or above a minimum, ascending; the CLI, `verify_range`
-and `h_table` walk their ranges with it.
+fails.  The name rule `_is_name` accepts a str that a table of kind or
+class names holds.  The range walker `_discriminants` yields each
+discriminant of [dmin, dmax] at or above a minimum, ascending; the CLI,
+`verify_range` and `h_table` walk their ranges with it.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ def _integer(value, func: str, param: str, minimum: int | None = None) -> None:
     if not _is_integer(value, minimum):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{func} needs an integer {param}{bound}, got {value!r}")
+
+
+def _is_name(value, names) -> bool:
+    """The name rule: a str that names holds, so no other value is looked up."""
+    return isinstance(value, str) and value in names
 
 
 def _discriminants(dmin: int, dmax: int, minimum: int = 1):

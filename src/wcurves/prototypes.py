@@ -27,6 +27,7 @@ from functools import lru_cache
 from .exact import (
     QuadNum,
     _integer,
+    _is_name,
     check_discriminant,
     decompose_discriminant,
     euler_phi,
@@ -72,7 +73,7 @@ class Prototype:
     q: int = 0
 
     def __post_init__(self):
-        if self.kind not in _BOUNDS:
+        if not _is_name(self.kind, _BOUNDS):
             raise ValueError(f"unknown prototype kind {self.kind!r}")
         check_discriminant(self.D)
         a, b, c, q = self.a, self.b, self.c, self.q
@@ -119,23 +120,23 @@ class Prototype:
         return f"{self.kind}({self.a},{self.b},{self.c},{self.q})"
 
 
-def _canonical_triple(kind: str, a: int, b: int, c: int) -> tuple[int, int, int]:
-    """The smaller of (a, b, c) and the triple it is identified with, if any."""
+def _canonical_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The smaller of (a, b, c) and its identified triple; only kind Y has c = 0."""
     if a + b + c == 0:
         return min((a, b, c), (-c, -b, -a))
-    if kind == "Y" and c == 0:
+    if c == 0:
         return min((a, b, c), (-b - a, b, 0))
     return (a, b, c)
 
 
 def _y_key(a: int, b: int, c: int, q: int) -> tuple[int, int, int, int]:
     """Junction key of (a, b, c, q): the Y-canonical triple, q mod gcd(a, b, c)."""
-    return (*_canonical_triple("Y", a, b, c), q % math.gcd(a, b, c))
+    return (*_canonical_triple(a, b, c), q % math.gcd(a, b, c))
 
 
 def canonical(p: Prototype) -> Prototype:
     """Canonical representative of p under the identification pairing."""
-    return _unchecked(p.kind, p.D, *_canonical_triple(p.kind, p.a, p.b, p.c), p.q)
+    return _unchecked(p.kind, p.D, *_canonical_triple(p.a, p.b, p.c), p.q)
 
 
 @lru_cache(maxsize=1)
@@ -211,7 +212,7 @@ def _enumerate(D: int, kind: str) -> tuple[Prototype, ...]:
     for a, b, c in _triples(D):
         if c >= c_top or a + b + c >= s_top:
             continue
-        triple = _canonical_triple(kind, a, b, c)
+        triple = _canonical_triple(a, b, c)
         g = math.gcd(*triple)
         seen.update(
             triple + (q,)
@@ -224,9 +225,8 @@ def _enumerate(D: int, kind: str) -> tuple[Prototype, ...]:
 def enumerate_prototypes(D: int, kind: str = "W") -> list[Prototype]:
     """All canonical prototypes of the given kind, sorted by (a, b, c, q)."""
     check_discriminant(D)
-    if isinstance(kind, str):
-        kind = kind.upper()
-    if kind not in _BOUNDS:
+    kind = kind.upper() if isinstance(kind, str) else kind
+    if not _is_name(kind, _BOUNDS):
         raise ValueError(f"unknown prototype kind {kind!r}")
     return list(_enumerate(D, kind))
 
@@ -236,9 +236,9 @@ def lambda_of(p: Prototype) -> QuadNum:
     return QuadNum(p.D, -p.b, 1) / (2 * p.a)
 
 
-def _require_kind_y(p: Prototype, op: str) -> None:
-    if p.kind != "Y":
-        raise ValueError(f"{op} is defined for kind Y prototypes, got kind {p.kind}")
+def _require_kind(p: Prototype, kind: str, op: str) -> None:
+    if p.kind != kind:
+        raise ValueError(f"{op} is defined for kind {kind} prototypes, got kind {p.kind}")
 
 
 def _next_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -247,12 +247,12 @@ def _next_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
         triple = (a, 2 * a + b, a + b + c)
     else:
         triple = (-a - b - c, -2 * a - b, -a)
-    return _canonical_triple("Y", *triple)
+    return _canonical_triple(*triple)
 
 
 def next_prototype(p: Prototype) -> Prototype:
     """Successor junction prototype.  Undefined on terminal prototypes."""
-    _require_kind_y(p, "next_prototype")
+    _require_kind(p, "Y", "next_prototype")
     if p.is_terminal:
         raise ValueError(f"{p} is terminal and has no successor")
     return _unchecked("Y", p.D, *_next_triple(p.a, p.b, p.c), p.q)
@@ -260,7 +260,7 @@ def next_prototype(p: Prototype) -> Prototype:
 
 def prev_prototype(p: Prototype) -> Prototype:
     """Predecessor junction prototype.  Undefined on degenerate prototypes."""
-    _require_kind_y(p, "prev_prototype")
+    _require_kind(p, "Y", "prev_prototype")
     if p.is_degenerate:
         raise ValueError(f"{p} is degenerate and has no predecessor")
     a, b, c, q = p.abcq
@@ -268,12 +268,12 @@ def prev_prototype(p: Prototype) -> Prototype:
         triple = (a, -2 * a + b, a - b + c)
     else:
         triple = (-c, -b + 2 * c, -a + b - c)
-    return _unchecked("Y", p.D, *_canonical_triple("Y", *triple), q)
+    return _unchecked("Y", p.D, *_canonical_triple(*triple), q)
 
 
 def t_involution(p: Prototype) -> Prototype:
     """Orientation-reversing involution.  Undefined on degenerate prototypes."""
-    _require_kind_y(p, "t_involution")
+    _require_kind(p, "Y", "t_involution")
     if p.is_degenerate:
         raise ValueError(f"t_involution is undefined on the degenerate {p}")
     a, b, c, q = p.abcq
@@ -281,12 +281,12 @@ def t_involution(p: Prototype) -> Prototype:
         triple = (a, -b, c)
     else:
         triple = (-c, b, -a)
-    return _unchecked("Y", p.D, *_canonical_triple("Y", *triple), q)
+    return _unchecked("Y", p.D, *_canonical_triple(*triple), q)
 
 
 def multiplicity(p: Prototype) -> int:
     """Fiber size gcd(a, c) / gcd(a, b, c) over a nondegenerate junction."""
-    _require_kind_y(p, "multiplicity")
+    _require_kind(p, "Y", "multiplicity")
     if p.is_degenerate:
         raise ValueError(f"multiplicity is undefined on the degenerate {p}")
     return math.gcd(p.a, p.c) // math.gcd(p.a, p.b, p.c)
@@ -294,7 +294,7 @@ def multiplicity(p: Prototype) -> int:
 
 def orbifold_order(p: Prototype) -> int:
     """Orbifold order of the junction point indexed by p."""
-    _require_kind_y(p, "orbifold_order")
+    _require_kind(p, "Y", "orbifold_order")
     g = math.gcd(p.a, p.b, p.c)
     a, b, c = p.a // g, p.b // g, p.c // g
     u = math.gcd(a, c) * math.gcd(a, b + c)
@@ -329,8 +329,7 @@ def _spin_split(a: int, b: int, c: int, n: int, f: int) -> tuple[int, int]:
 
 def spin(p: Prototype) -> int:
     """Spin invariant of a kind W prototype, for D = 1 (mod 8), D != 9."""
-    if p.kind != "W":
-        raise ValueError(f"spin is defined for kind W prototypes, got kind {p.kind}")
+    _require_kind(p, "W", "spin")
     if not _spin_applies(p.D):
         raise ValueError(
             f"spin needs D = 1 (mod 8) and D != 9, got D={p.D}"
@@ -360,8 +359,7 @@ def from_splitting_prototype(a: int, b: int, c: int, e: int) -> Prototype:
 
 def to_splitting_prototype(p: Prototype) -> tuple[int, int, int, int]:
     """Canonical splitting quadruple (q, -c, a, b) of a kind W prototype."""
-    if p.kind != "W":
-        raise ValueError(f"expected a kind W prototype, got kind {p.kind}")
+    _require_kind(p, "W", "to_splitting_prototype")
     return (p.q, -p.c, p.a, p.b)
 
 

@@ -3,13 +3,14 @@
 The main enumerator scans b and factors (D - b^2)/4; this one scans the
 (a, c) grid and tests b^2 = D + 4ac for squareness, then applies the
 definitions directly.  The verify command and the test suite compare the
-two on exact output.
+two on exact output.  D and the kind are checked at entry by `exact`'s rules.
 """
 
 from __future__ import annotations
 
-import math
 from math import gcd, isqrt
+
+from .exact import _is_name, check_discriminant
 
 __all__ = ["reference_tuples"]
 
@@ -22,9 +23,7 @@ def _valid(kind: str, a: int, b: int, c: int) -> bool:
         return c <= 0 and s <= 0 and not (s == 0 and c == 0)
     if kind == "P":
         return c < 0 and s <= 0
-    if kind == "W":
-        return c < 0 and s < 0
-    raise ValueError(f"unknown kind {kind!r}")
+    return c < 0 and s < 0  # kind W
 
 
 def _partner(kind: str, t: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -38,17 +37,16 @@ def _partner(kind: str, t: tuple[int, int, int]) -> tuple[int, int, int]:
 
 def reference_tuples(D: int, kind: str) -> list[tuple[int, int, int, int]]:
     """Sorted canonical (a, b, c, q) tuples of the given kind."""
-    if D < 1 or D % 4 not in (0, 1):
-        raise ValueError(f"bad discriminant {D}")
-    kind = kind.upper()
+    check_discriminant(D)
+    kind = kind.upper() if isinstance(kind, str) else kind
+    if not _is_name(kind, ("Y", "P", "W")):
+        raise ValueError(f"unknown kind {kind!r}")
     raw = set()
     amax = max(D // 4, isqrt(D)) + 1
     for a in range(1, amax + 1):
         for negc in range(0, D // (4 * a) + 1):
             c = -negc
             bb = D + 4 * a * c
-            if bb < 0:
-                continue
             r = isqrt(bb)
             if r * r != bb:
                 continue

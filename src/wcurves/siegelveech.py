@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .euler import chi_W, chi_W_components
+from .euler import _chis
 from .exact import (
     QuadNum,
     _integer,
@@ -22,7 +22,14 @@ from .exact import (
     decompose_discriminant,
     is_square,
 )
-from .prototypes import Prototype, _spin_applies, _spin_split, _w_cusps, lambda_of
+from .prototypes import (
+    Prototype,
+    _require_kind,
+    _spin_applies,
+    _spin_split,
+    _w_cusps,
+    lambda_of,
+)
 
 __all__ = [
     "SvReport",
@@ -56,8 +63,7 @@ def v_of_prototype(p: Prototype) -> QuadNum:
 
     This QuadNum route is the test oracle for the closed form in _v_sums.
     """
-    if p.kind != "W":
-        raise ValueError(f"expected a kind W prototype, got kind {p.kind}")
+    _require_kind(p, "W", "v_of_prototype")
     if not _sv_applies(p.D):  # a kind W D is checked and >= 5, so D is square
         _check_sv_discriminant(p.D)  # raises the square-regime error
     lam = lambda_of(p)
@@ -109,15 +115,15 @@ def _constants(D: int) -> tuple[QuadNum, tuple[QuadNum, QuadNum] | None, QuadNum
     """(c, (c0, c1) or None, billiards constant) from one pass over the W cusps.
 
     For split D = 1 (mod 8) the component of the unfolded right triangle
-    selects the spin ((1 + f) / 2) mod 2 constant.
+    selects the spin ((1 + f) / 2) mod 2 constant; the W0 key marks a split.
     """
     _check_sv_discriminant(D)
     s0, s1 = _v_sums(D)
-    constant = (s0 + s1) / (-2 * chi_W(D))
-    if not _spin_applies(D):
+    chis = _chis(D)
+    constant = (s0 + s1) / (-2 * chis["W"])
+    if "W0" not in chis:
         return constant, None, constant
-    chi0, chi1 = chi_W_components(D)
-    components = (s0 / (-2 * chi0), s1 / (-2 * chi1))
+    components = (s0 / (-2 * chis["W0"]), s1 / (-2 * chis["W1"]))
     _, f = decompose_discriminant(D)
     return constant, components, components[((1 + f) // 2) % 2]
 
@@ -129,10 +135,10 @@ def sv_constant(D: int) -> QuadNum:
 
 def sv_constant_components(D: int) -> tuple[QuadNum, QuadNum]:
     """(c for spin 0, c for spin 1); needs nonsquare D = 1 (mod 8), D != 9."""
-    _check_sv_discriminant(D)
-    if not _spin_applies(D):
+    components = _constants(D)[1]
+    if components is None:
         raise ValueError(f"W is connected for D={D}: no per-component constants")
-    return _constants(D)[1]
+    return components
 
 
 def billiards_constant(D: int) -> QuadNum:

@@ -181,7 +181,7 @@ def test_per_prototype_failure_text(monkeypatch):
 def test_wrong_junction_key_fails(monkeypatch):
     # q mod gcd(a, c) in place of q mod gcd(a, b, c)
     def wrong(a, b, c, q):
-        return (*prototypes._canonical_triple("Y", a, b, c), q % math.gcd(a, c))
+        return (*prototypes._canonical_triple(a, b, c), q % math.gcd(a, c))
 
     monkeypatch.setattr(prototypes, "_y_key", wrong)
     r = verify_discriminant(17)
