@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: prototypes, euler, sv, hseries, boundary, tables, verify.
-All machine formats carry exact strings; decimal approximations appear
-only in the clearly labeled coefficient column of sv output.
+All machine formats carry exact strings; a decimal approximation appears
+only in the clearly labeled coefficient column of sv output, correctly
+rounded from integer arithmetic.
 
 Exit codes: 0 success, 1 validation error, 2 verify found a failure.
 """

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (
+    _decompose,
     _discriminants,
     _factor,
     _integer,
@@ -53,7 +54,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
 def h2(D: int) -> Fraction:
     """Weight 2 class number series coefficient H(2, D).
 
@@ -67,6 +67,12 @@ def h2(D: int) -> Fraction:
     sigma_1(0) = -1/24 each.  H(2, 0) = -1/120.
     """
     check_discriminant(D, minimum=0)
+    return _h2(D)
+
+
+@lru_cache(maxsize=None)
+def _h2(D: int) -> Fraction:
+    """h2 of a checked D."""
     if D == 0:
         return Fraction(-1, 120)
     total = 2 * sum(
@@ -83,9 +89,14 @@ def h2(D: int) -> Fraction:
 def zeta_minus_one(d0: int) -> Fraction:
     """zeta_K(-1) for the real quadratic field of fundamental discriminant d0."""
     check_discriminant(d0, minimum=5)
-    if decompose_discriminant(d0) != (d0, 1):
+    if _decompose(d0) != (d0, 1):
         raise ValueError(f"{d0} is not a fundamental discriminant of a real field")
-    return -h2(d0) / 12
+    return _zeta_minus_one(d0)
+
+
+def _zeta_minus_one(d0: int) -> Fraction:
+    """zeta_minus_one of a checked fundamental d0."""
+    return -_h2(d0) / 12
 
 
 def _chis(D: int) -> dict[str, Fraction]:
@@ -99,7 +110,7 @@ def _chis(D: int) -> dict[str, Fraction]:
     if D == 4:
         return {"X": Fraction(1, 6), "W": Fraction(0), "P": Fraction(-1, 6),
                 "Q": Fraction(-1, 6), "S": Fraction(-1, 2)}
-    d0, d = decompose_discriminant(D)
+    d0, d = _decompose(D)
     if d0 == 1:
         s = mobius_weighted_sum(1, d)
         chis = {
@@ -113,7 +124,7 @@ def _chis(D: int) -> dict[str, Fraction]:
             chis["W0"] = -Fraction(d * d * (d - 1), 32) * s
             chis["W1"] = -Fraction(d * d * (d - 3), 32) * s
         return chis
-    x = 2 * d**3 * zeta_minus_one(d0) * mobius_weighted_sum(d0, d)
+    x = 2 * d**3 * _zeta_minus_one(d0) * mobius_weighted_sum(d0, d)
     chis = {"X": x, "W": -Fraction(9, 2) * x, "P": -Fraction(5, 2) * x, "Q": -5 * x}
     if _spin_applies(D):
         chis["W0"] = chis["W1"] = chis["W"] / 2
@@ -264,7 +275,7 @@ def consistency_chain(D: int) -> list[ConsistencyCheck]:
     chi = _chis(D)
     if D >= 5 and not square:
         h, rs = h2(D), divisors(f)
-        tables = [_chis(r * r * d0) for r in rs]
+        tables = [chi if r == f else _chis(r * r * d0) for r in rs]
         x_sum = sum((t["X"] for t in tables), Fraction(0))
         w_sum = sum((t["W"] for t in tables), Fraction(0))
         checks.append(ConsistencyCheck("euler_ratio", chi["W"], -Fraction(9, 2) * chi["X"]))

@@ -5,10 +5,10 @@ integer discriminant disc >= 1 with disc = 0 or 1 (mod 4).  It is held in
 integers as (x + y*sqrt(disc))/z, with z > 0 and gcd(x, y, z) = 1, so each
 value has one form.  An arithmetic result is built from the integers of
 its operands and reduced with one three-argument gcd; no Fraction is made
-on the way.  Its coordinates rat = x/z and rad = y/z, its norm and trace,
-and the other rationals of this module are fractions.Fraction.  Square
-discriminants are allowed: Q[sqrt(d^2)] is isomorphic to Q (+) Q, it has
-zero divisors, and its two coordinate projections stay exact.
+on the way.  Its coordinates rat = x/z and rad = y/z, its norm, and the
+other rationals of this module are fractions.Fraction.  Square
+discriminants are allowed: Q[sqrt(d^2)] is isomorphic to Q (+) Q, and it
+has zero divisors.
 
 The module also owns the input rules that every layer asks.  The integer
 rule (`_is_integer`, and `_integer` that raises) accepts an int that is
@@ -195,6 +195,11 @@ def decompose_discriminant(D: int) -> tuple[int, int]:
     Returns (D0, f).  Square D returns (1, isqrt(D)).
     """
     check_discriminant(D)
+    return _decompose(D)
+
+
+def _decompose(D: int) -> tuple[int, int]:
+    """decompose_discriminant for a D that is already checked."""
     kernel = 1
     for p, e in _factor(D):
         if e % 2:
@@ -297,9 +302,6 @@ class QuadNum:
         x, y, z = self._x, self._y, self._z
         return Fraction(x * x - self._d * y * y, z * z)
 
-    def trace(self) -> Fraction:
-        return Fraction(2 * self._x, self._z)
-
     def _sign(self, y: int) -> int:
         """Sign of x + y*sqrt(disc), which z > 0 does not change.
 
@@ -321,20 +323,6 @@ class QuadNum:
     def sign2(self) -> int:
         """Sign under the second embedding, sqrt(disc) -> -sqrt(disc)."""
         return self._sign(-self._y)
-
-    def _root(self, name: str) -> int:
-        d = math.isqrt(self._d)
-        if d * d != self._d:
-            raise ValueError(f"{name} needs a square discriminant, got {self._d}")
-        return d
-
-    def embed1(self) -> Fraction:
-        """Rational image under sqrt(d^2) -> d.  Square disc only."""
-        return Fraction(self._x + self._y * self._root("embed1"), self._z)
-
-    def embed2(self) -> Fraction:
-        """Rational image under sqrt(d^2) -> -d.  Square disc only."""
-        return Fraction(self._x - self._y * self._root("embed2"), self._z)
 
     def _inverse_ints(self) -> tuple[int, int, int]:
         """(u, v, w) with w > 0 and (u + v*sqrt(disc))/w the inverse, not reduced."""

@@ -1,8 +1,10 @@
 """Siegel-Veech cylinder-counting constants and billiard coefficients.
 
 Everything downstream of the prototype data stays exact; the only decimal
-output is the final coefficient string, evaluated with mpmath at a caller
-chosen number of significant digits.
+output is the final coefficient string, pi times an element of Q(sqrt D)
+rounded to a caller chosen number of significant digits.  It is computed
+in fixed-point integers, so the module needs no floating point and no
+package outside the standard library.
 """
 
 from __future__ import annotations
@@ -11,15 +13,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .euler import _chis
 from .exact import (
     QuadNum,
+    _decompose,
     _integer,
     _quadnum,
     check_discriminant,
-    decompose_discriminant,
     is_square,
 )
 from .prototypes import (
@@ -85,7 +85,7 @@ def _v_sums(D: int) -> tuple[QuadNum, QuadNum]:
     D must already be checked.
     """
     split = _spin_applies(D)
-    f = decompose_discriminant(D)[1] if split else 0
+    f = _decompose(D)[1] if split else 0
     sums = ({}, {})  # per spin: denominator -> [sum of k*x, sum of k*y]
     for a, b, c, n in _w_cusps(D):
         x, y = D * (a - c), b * (a + c)
@@ -116,25 +116,27 @@ def _constants(D: int) -> tuple[QuadNum, tuple[QuadNum, QuadNum] | None, QuadNum
 
     For split D = 1 (mod 8) the component of the unfolded right triangle
     selects the spin ((1 + f) / 2) mod 2 constant; the W0 key marks a split.
+    D must already be checked as a nonsquare discriminant >= 5.
     """
-    _check_sv_discriminant(D)
     s0, s1 = _v_sums(D)
     chis = _chis(D)
     constant = (s0 + s1) / (-2 * chis["W"])
     if "W0" not in chis:
         return constant, None, constant
     components = (s0 / (-2 * chis["W0"]), s1 / (-2 * chis["W1"]))
-    _, f = decompose_discriminant(D)
+    _, f = _decompose(D)
     return constant, components, components[((1 + f) // 2) % 2]
 
 
 def sv_constant(D: int) -> QuadNum:
     """Siegel-Veech constant of the full W locus of discriminant D."""
+    _check_sv_discriminant(D)
     return _constants(D)[0]
 
 
 def sv_constant_components(D: int) -> tuple[QuadNum, QuadNum]:
     """(c for spin 0, c for spin 1); needs nonsquare D = 1 (mod 8), D != 9."""
+    _check_sv_discriminant(D)
     components = _constants(D)[1]
     if components is None:
         raise ValueError(f"W is connected for D={D}: no per-component constants")
@@ -143,41 +145,155 @@ def sv_constant_components(D: int) -> tuple[QuadNum, QuadNum]:
 
 def billiards_constant(D: int) -> QuadNum:
     """The constant attached to the right triangle unfolding of discriminant D."""
+    _check_sv_discriminant(D)
     return _constants(D)[2]
+
+
+def _unfolding(D: int) -> tuple[int, int]:
+    """(b, c) of the unfolding prototype (1, b, c, 0) of a checked D."""
+    return (-1, (1 - D) // 4) if D % 2 else (0, -D // 4)
 
 
 def unfolding_prototype(D: int) -> Prototype:
     """The cusp prototype of the unfolded right triangle billiard."""
     _check_sv_discriminant(D)
-    if D % 2:
-        return Prototype("W", D, 1, -1, (1 - D) // 4, 0)
-    return Prototype("W", D, 1, 0, -D // 4, 0)
+    return Prototype("W", D, 1, *_unfolding(D), 0)
+
+
+def _area(D: int) -> QuadNum:
+    """1 - lambda^2 / c for the unfolding prototype (1, b, c, 0) of a checked D."""
+    b, c = _unfolding(D)
+    lam = _quadnum(D, -b, 1, 2)  # lambda_of: (-b + sqrt(D)) / (2a) with a = 1
+    return 1 - lam * lam / c
 
 
 def unfolding_area(D: int) -> QuadNum:
     """Area factor 1 - (a/c) lambda^2 of the unfolding prototype."""
-    p = unfolding_prototype(D)
-    lam = lambda_of(p)
-    return 1 - Fraction(p.a, p.c) * lam * lam
+    _check_sv_discriminant(D)
+    return _area(D)
 
 
-def _real1(x: QuadNum) -> mpmath.mpf:
-    out = mpmath.mpf(x.rat.numerator) / x.rat.denominator
-    if x.rad:
-        out += mpmath.mpf(x.rad.numerator) / x.rad.denominator * mpmath.sqrt(x.disc)
-    return out
+# (P, an integer within 2 of pi * 10**P) at the highest P asked for so far:
+# one value, however many precisions are asked for.
+_pi_cache = (0, 3)
+# Guard digits of the first fixed-point pass of _round_pi_times.
+_GUARD = 10
+# _decimal converts in blocks of 500 digits.
+_BLOCK = 10**500
+
+
+def _arccot(x: int, unity: int) -> int:
+    """unity * arccot(x) for an integer x >= 2, within k + 1 units for k terms.
+
+    Each term floor(unity / x^(2j+1)) is exact, as a floor of floors; the
+    division by 2j + 1 truncates once per term, and the series stops at the
+    first zero term, beyond which the alternating tail is below one unit.
+    """
+    total = term = unity // x
+    x2, k, sign = x * x, 1, -1
+    while term:
+        term //= x2
+        k += 2
+        total += sign * (term // k)
+        sign = -sign
+    return total
+
+
+def _pi_scaled(P: int) -> int:
+    """An integer within 2 of pi * 10**P, for P >= 0.
+
+    Machin's formula pi = 16 arccot(5) - 4 arccot(239) is summed at
+    w = P + g places, g = 3 + len(str(P)).  Each arccot has at most w + 1
+    terms, so the sum is within 20(w + 2) < 10**g units, and dividing by
+    10**g leaves an integer within 2 of pi * 10**P.  A lower P truncates
+    the cached value at the highest P so far, which stays within 1.2.
+    """
+    global _pi_cache
+    top, value = _pi_cache
+    if P <= top:
+        return value // 10 ** (top - P)
+    g = 3 + len(str(P))
+    unity = 10 ** (P + g)
+    value = (16 * _arccot(5, unity) - 4 * _arccot(239, unity)) // 10**g
+    _pi_cache = (P, value)
+    return value
+
+
+def _round_pi_times(v: QuadNum, digits: int, guard: int = _GUARD) -> tuple[int, int]:
+    """(m, e) with pi * v = m * 10**(e + 1 - digits) rounded to nearest.
+
+    v = (x + y sqrt(D))/z must be positive; 10**(digits - 1) <= m < 10**digits.
+    At P places, with p = pi * 10**P + a (|a| < 2) and s = isqrt(D * 10**(2P))
+    = sqrt(D) 10**P - b (0 <= b < 1), the integer
+
+        A = p (x 10**P + y s) // (z 10**P)
+
+    differs from T = pi v 10**P by less than err = 2v + pi|y|/z + 2|y|/z + 1,
+    and err < (2|x| + (2r + 8)|y|)/z + 2 with r = isqrt(D).  Let A have n
+    digits and u = 10**(n - digits).  Rounding A to a multiple of u gives the
+    rounding of T when 2 err < u/10, so that a power of ten between A and T
+    rounds the same from both sides, and when the remainder of A mod u is
+    further than err from u/2.  Otherwise the guard digits are doubled and
+    A is computed again.  T is pi times a nonzero element of Q(sqrt D), so
+    it is irrational and never a tie: some precision always decides it.
+    """
+    x, y, z, D = v._x, v._y, v._z, v._d
+    err = (2 * abs(x) + (2 * math.isqrt(D) + 8) * abs(y)) // z + 2
+    while True:
+        P = digits + guard
+        scale = 10**P
+        A = _pi_scaled(P) * (x * scale + y * math.isqrt(D * scale * scale)) // (z * scale)
+        n = len(_decimal(A)) if A > 0 else 0
+        if n > digits:
+            u = 10 ** (n - digits)
+            m, rem = divmod(A, u)
+            if 20 * err < u and abs(2 * rem - u) > 2 * err:
+                e = n - 1 - P
+                if 2 * rem > u:
+                    m += 1
+                if m == 10**digits:
+                    m, e = m // 10, e + 1
+                return m, e
+        guard = 2 * guard + 1
+
+
+def _decimal(n: int) -> str:
+    """str(n) for n >= 0, made in blocks of 500 digits.
+
+    The interpreter may limit str(int) to as few as 640 digits, and a
+    coefficient may ask for more.
+    """
+    blocks = []
+    while n >= _BLOCK:
+        n, r = divmod(n, _BLOCK)
+        blocks.append(str(r).zfill(500))
+    return str(n) + "".join(reversed(blocks))
 
 
 def _coefficient(c: QuadNum, area: QuadNum, digits: int) -> str:
+    """pi * c / area to digits significant digits, rounded to nearest.
+
+    The text is what mpmath.nstr(value, digits, strip_zeros=False) writes:
+    fixed notation when the exponent e of the leading digit has
+    min(-(digits // 3), -5) < e < digits, as in 15., and otherwise one
+    digit, the point, the other digits and the exponent, as in 1.e+1.
+    """
     _integer(digits, "the coefficient", "digits", 1)
-    with mpmath.workdps(digits + 15):
-        val = _real1(c) * mpmath.pi / _real1(area)
-        return mpmath.nstr(val, digits, strip_zeros=False)
+    v = c / area
+    assert v.sign1() > 0  # a Siegel-Veech constant over an area, both positive
+    m, e = _round_pi_times(v, digits)
+    text = _decimal(m)
+    if not min(-(digits // 3), -5) < e < digits:
+        return f"{text[0]}.{text[1:]}e{e:+d}"
+    if e < 0:
+        return "0." + "0" * (-e - 1) + text
+    return f"{text[: e + 1]}.{text[e + 1 :]}"
 
 
 def billiards_coefficient(D: int, digits: int = 50) -> str:
     """Decimal value of billiards_constant(D) * pi / unfolding_area(D)."""
-    return _coefficient(billiards_constant(D), unfolding_area(D), digits)
+    _check_sv_discriminant(D)
+    return _coefficient(_constants(D)[2], _area(D), digits)
 
 
 @dataclass(frozen=True)
@@ -204,8 +320,9 @@ class SvReport:
 
 
 def sv_report(D: int, digits: int = 50) -> SvReport:
+    _check_sv_discriminant(D)
     constant, components, billiards = _constants(D)
-    area = unfolding_area(D)
+    area = _area(D)
     return SvReport(
         D=D,
         constant=constant,

@@ -5,8 +5,9 @@ text.  A kind or class name must be a str that its table knows; any other
 value gets the entry point's ValueError, never a TypeError from a lookup.
 The reference oracle checks D and its kind at entry with the rules of
 `exact` and takes nothing from the enumerator.  The identity chain and
-the Siegel-Veech constants build each Euler table they read once.  The
-last test runs error paths of the public API that no other test reaches.
+the Siegel-Veech constants build each Euler table they read once, and
+`sv_report` checks its discriminant once, at entry.  The last test runs
+error paths of the public API that no other test reaches.
 """
 
 import ast
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import wcurves
-from wcurves import euler, reference, siegelveech
+from wcurves import euler, exact, prototypes, reference, siegelveech
 from wcurves.exact import QuadNum, sigma
 from wcurves.prototypes import (
     Prototype,
@@ -114,14 +115,34 @@ def test_a_checked_discriminant_builds_each_euler_table_once(monkeypatch):
 
     monkeypatch.setattr(euler, "_chis", counted)
     monkeypatch.setattr(siegelveech, "_chis", counted)
-    euler.consistency_chain(45)  # D itself, then each r^2 d0 for r | 3
-    assert sorted(calls) == [5, 45, 45]
+    euler.consistency_chain(45)  # D itself, then r^2 d0 for r = 1; r = 3 is D
+    assert sorted(calls) == [5, 45]
     calls.clear()
     euler.consistency_chain(41)
-    assert calls == [41, 41]
+    assert calls == [41]
     calls.clear()
     siegelveech._constants(41)
     assert calls == [41]
+
+
+@pytest.mark.parametrize("D", [12, 41, 45])
+def test_sv_report_checks_its_discriminant_once(monkeypatch, D):
+    """One check at sv_report's entry; the body reads unchecked internals."""
+    calls = []
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for module in (exact, euler, prototypes, siegelveech):
+        for name in ("check_discriminant", "decompose_discriminant", "_check_sv_discriminant"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    siegelveech.sv_report(D)
+    assert sorted(calls) == ["_check_sv_discriminant", "check_discriminant"]
 
 
 Q = QuadNum(5, 1, 1)

@@ -131,7 +131,6 @@ def test_quadnum_golden_ratio():
     lam = QuadNum(5, Fraction(1, 2), Fraction(1, 2))
     assert lam * lam == lam + 1
     assert lam.norm() == -1
-    assert lam.trace() == 1
     assert lam.sign1() > 0
     assert lam.sign2() < 0
     assert lam.inverse() == lam - 1
@@ -184,17 +183,12 @@ def test_quadnum_galois_conjugate():
     x = QuadNum(17, Fraction(2), Fraction(3, 5))
     assert x.galois_conjugate().galois_conjugate() == x
     assert x * x.galois_conjugate() == x.norm()
-    assert x + x.galois_conjugate() == x.trace()
 
 
 def test_quadnum_square_discriminant_embeddings():
     x = QuadNum(9, 1, 1)
-    assert x.embed1() == 4
-    assert x.embed2() == -2
     assert x.norm() == -8
     assert x.sign1() > 0 and x.sign2() < 0
-    with pytest.raises(ValueError):
-        QuadNum.sqrt(5).embed1()
 
 
 def test_quadnum_zero_divisor():
@@ -485,13 +479,8 @@ def test_operators_match_the_fraction_reference(p, q, r, s, k, disc, tie, n):
         assert got.disc == disc
         assert type(got.rat) is Fraction and type(got.rad) is Fraction
         assert (got.rat, got.rad) == (rat, rad)
-    got = [x.norm(), x.trace()]
-    want = [_ref_norm(disc, a), 2 * p]
-    if square:
-        got += [x.embed1(), x.embed2()]
-        want += [p + q * d, p - q * d]
-    for g, w in zip(got, want):
-        assert type(g) is Fraction and g == w
+    got = x.norm()
+    assert type(got) is Fraction and got == _ref_norm(disc, a)
     _assert_signs(x)
     _assert_signs(y)
 
