@@ -7,6 +7,13 @@ prototype: C_P runs from c_{P^-} to c_P, so c_P joins C_P to C_{P+};
 degenerate junctions start on S1 and terminal junctions end on S2.  Kind
 W and P prototypes mark cusps on the curve over their junction image.
 
+The cusps over a junction (a, b, c, q) are fixed by its triple: with
+g = gcd(a, b, c) and n = gcd(a, c) / g when c < 0, else 0, they are
+(a, b, c, q + k g) for k < n (Bainbridge 2007, McMullen 2005).  A
+terminal junction carries its one P cusp and no W cusp, a degenerate one
+carries none.  `build_complex` counts the fibers by this rule from the
+kind Y prototypes alone; `JunctionEdge.w_fiber` and `p_fiber` build them.
+
 Cohomology classes are tracked as exact (omega1, omega2) coefficients
 plus a formal boundary part.  Pairings of boundary parts that the ledger
 does not determine (the spin component self-pairings) evaluate to the
@@ -32,9 +39,9 @@ from .exact import (
 from .prototypes import (
     Prototype,
     _next_triple,
-    _spin,
     _spin_applies,
-    _y_key,
+    _spin_split,
+    _unchecked,
     enumerate_prototypes,
     orbifold_order,
     t_involution,
@@ -89,8 +96,23 @@ class JunctionEdge:
     m: int
     src: str
     dst: str
-    w_fiber: tuple[Prototype, ...]
-    p_fiber: tuple[Prototype, ...]
+    wcusps: int
+    pcusps: int
+
+    @property
+    def w_fiber(self) -> tuple[Prototype, ...]:
+        """The kind W cusps over the junction, in residue order."""
+        return self._fiber("W", self.wcusps)
+
+    @property
+    def p_fiber(self) -> tuple[Prototype, ...]:
+        """The kind P cusps over the junction, in residue order."""
+        return self._fiber("P", self.pcusps)
+
+    def _fiber(self, kind: str, n: int) -> tuple[Prototype, ...]:
+        p = self.prototype
+        g = math.gcd(p.a, p.b, p.c)
+        return tuple(_unchecked(kind, p.D, p.a, p.b, p.c, p.q + k * g) for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -137,8 +159,8 @@ class CuspComplex:
                     "m": e.m,
                     "src": e.src,
                     "dst": e.dst,
-                    "wcusps": len(e.w_fiber),
-                    "pcusps": len(e.p_fiber),
+                    "wcusps": e.wcusps,
+                    "pcusps": e.pcusps,
                 }
                 for e in self.junctions
             ],
@@ -149,39 +171,27 @@ class CuspComplex:
 def build_complex(D: int) -> CuspComplex:
     check_discriminant(D, minimum=5)
     square = is_square(D)
-    with_spin = _spin_applies(D)
-    ys = enumerate_prototypes(D, "Y")
-    # A cusp's key is the quadruple of its y_image, without building it.
-    w_fiber: dict[tuple, list[Prototype]] = {p.abcq: [] for p in ys}
-    p_fiber: dict[tuple, list[Prototype]] = {p.abcq: [] for p in ys}
-    for kind, fiber in (("W", w_fiber), ("P", p_fiber)):
-        for x in enumerate_prototypes(D, kind):
-            fiber[_y_key(*x.abcq)].append(x)
-
-    f = decompose_discriminant(D)[1] if with_spin else None
+    f = decompose_discriminant(D)[1] if _spin_applies(D) else None
     curves = []
     junctions = []
-    for p in ys:
+    for p in enumerate_prototypes(D, "Y"):
         a, b, c, q = key = p.abcq
-        ws = w_fiber[key]
+        pcusps = math.gcd(a, c) // math.gcd(a, b, c) if c < 0 else 0
+        wcusps = 0 if p.is_terminal else pcusps
         if not p.is_degenerate:
-            curves.append(
-                CurveNode(
-                    id=_node_id(*key),
-                    prototype=p,
-                    wcusps=len(ws),
-                    pcusps=len(p_fiber[key]),
-                    spins=tuple(sorted(_spin(*w.abcq, f) for w in ws)) if with_spin else None,
-                )
-            )
+            spins = None
+            if f is not None:
+                s0, s1 = _spin_split(a, b, c, wcusps, f)
+                spins = (0,) * s0 + (1,) * s1
+            curves.append(CurveNode(_node_id(*key), p, wcusps, pcusps, spins))
         junctions.append(
             JunctionEdge(
                 prototype=p,
                 m=orbifold_order(p),
                 src="S1" if p.is_degenerate else _node_id(*key),
                 dst="S2" if p.is_terminal else _node_id(*_next_triple(a, b, c), q),
-                w_fiber=tuple(ws),
-                p_fiber=tuple(p_fiber[key]),
+                wcusps=wcusps,
+                pcusps=pcusps,
             )
         )
     s1s2 = None

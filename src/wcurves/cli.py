@@ -136,7 +136,7 @@ def _cmd_boundary(args) -> int:
             p = e.prototype
             lines.append(
                 f"  c({p.a},{p.b},{p.c},{p.q}): m={e.m} {e.src} -> {e.dst}"
-                f" wcusps={len(e.w_fiber)} pcusps={len(e.p_fiber)}"
+                f" wcusps={e.wcusps} pcusps={e.pcusps}"
             )
         if cx.s1s2_points is not None:
             lines.append(f"s1s2_points: {cx.s1s2_points}")

@@ -313,12 +313,13 @@ def _spin(a: int, b: int, c: int, q: int, f: int) -> int:
 
 
 def _spin_split(a: int, b: int, c: int, n: int, f: int) -> tuple[int, int]:
-    """How many of the n residues q of a kind W triple have spin 0 and spin 1.
+    """How many of n residues q of a kind W triple have spin 0 and spin 1.
 
-    Spin depends on q only through its parity, and only when a and c are
-    both even.  Then b is odd (D is odd), so g = gcd(a, b, c) is odd and
-    2g divides m = gcd(a, c); q -> q + g flips parity on the residues
-    coprime to g, so they split evenly.
+    The n residues are all those of the triple, or the fiber q + k g,
+    k < m/g, over one junction.  Spin depends on q only through its
+    parity, and only when a and c are both even.  Then b is odd (D is
+    odd), so g = gcd(a, b, c) is odd and 2g divides m = gcd(a, c); q ->
+    q + g flips parity on the residues coprime to g, so they split evenly.
     """
     s = _spin(a, b, c, 0, f)
     if s == _spin(a, b, c, 1, f):

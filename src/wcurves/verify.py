@@ -162,8 +162,8 @@ def _check_boundary(D: int):
     cx = boundary.build_complex(D)
     ws = enumerate_prototypes(D, "W")
     ps = enumerate_prototypes(D, "P")
-    yield "complex_w_total", sum(len(e.w_fiber) for e in cx.junctions) == len(ws)
-    yield "complex_p_total", sum(len(e.p_fiber) for e in cx.junctions) == len(ps)
+    yield "complex_w_total", sum(e.wcusps for e in cx.junctions) == len(ws)
+    yield "complex_p_total", sum(e.pcusps for e in cx.junctions) == len(ps)
     node_ids = {n.id for n in cx.curves}
     yield (
         "complex_edges_closed",

@@ -2,12 +2,13 @@
 
 `_enumerate` and the maps of an existing Prototype (`canonical`,
 `next_prototype`, `prev_prototype`, `t_involution`, `y_image`) build their
-Prototypes without running `__post_init__`, and `build_complex` groups the
-cusps by the integer key `_y_key` instead of through `y_image`.  These tests
-rebuild every such Prototype through the validating constructor, compare
-the complex's fibers with a grouping by `y_image`, pin the scan `_triples`
-to a brute-force (a, c) grid, and pin the one-discriminant caches and the
-construction count.
+Prototypes without running `__post_init__`, and `build_complex` counts the
+cusps over each junction from its triple alone, enumerating kind Y only.
+These tests rebuild every such Prototype through the validating
+constructor, compare the complex's fibers with a grouping of the W and P
+enumeration by `y_image`, pin the kinds that `build_complex` enumerates,
+pin the scan `_triples` to a brute-force (a, c) grid, and pin the
+one-discriminant caches and the construction count.
 """
 
 import math
@@ -16,6 +17,7 @@ from collections import defaultdict
 
 import pytest
 
+from wcurves import boundary
 from wcurves.boundary import _node_id, build_complex
 from wcurves.euler import euler_report
 from wcurves.exact import is_discriminant
@@ -66,7 +68,7 @@ def test_enumerated_prototypes_pass_validation():
 
 
 def test_complex_fibers_match_the_public_route():
-    for D in range(5, 601):
+    for D in [*range(5, 601), 20001, 19881]:
         if not is_discriminant(D):
             continue
         cx = build_complex(D)
@@ -81,6 +83,19 @@ def test_complex_fibers_match_the_public_route():
             p = edge.prototype
             if not p.is_terminal:
                 assert edge.dst == _node_id(*next_prototype(p).abcq), (D, p)
+
+
+def test_complex_enumerates_kind_y_only(monkeypatch):
+    kinds = []
+
+    def recorded(D, kind="W"):
+        kinds.append(kind)
+        return enumerate_prototypes(D, kind)
+
+    monkeypatch.setattr(boundary, "enumerate_prototypes", recorded)
+    for D in (17, 49, 20001, 19881):
+        build_complex(D)
+    assert kinds == ["Y"] * 4
 
 
 def _grid_triples(D):

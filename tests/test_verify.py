@@ -1,9 +1,10 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
-from wcurves import euler, prototypes, reference, siegelveech, verify
+from wcurves import boundary, euler, prototypes, reference, siegelveech, verify
 from wcurves.exact import QuadNum
 from wcurves.prototypes import Prototype
 from wcurves.verify import verify_discriminant, verify_range
@@ -187,6 +188,19 @@ def test_wrong_junction_key_fails(monkeypatch):
     r = verify_discriminant(17)
     assert not r.ok
     assert any(f.startswith("w_fiber_size") for f in r.failures), r.failures
+
+
+@pytest.mark.parametrize("field, check", [("wcusps", "complex_w_total"), ("pcusps", "complex_p_total")])
+def test_wrong_fiber_count_fails(monkeypatch, field, check):
+    # The complex counts its fibers by arithmetic; the check compares them
+    # with the enumerator's cusps, so one count off by one must show.
+    cx = boundary.build_complex(12)
+    edge = cx.junctions[0]
+    wrong = dataclasses.replace(edge, **{field: getattr(edge, field) + 1})
+    mutant = dataclasses.replace(cx, junctions=(wrong, *cx.junctions[1:]))
+    monkeypatch.setattr(boundary, "build_complex", lambda D: mutant)
+    r = verify_discriminant(12)
+    assert r.failures == (check,)
 
 
 def test_euler_failure_text(monkeypatch):
