@@ -29,7 +29,7 @@ from .exact import (
     mobius_weighted_sum,
     sigma,
 )
-from .prototypes import _spin_applies, _w_cusps, enumerate_prototypes
+from .prototypes import _spin_applies, _w_count, enumerate_prototypes
 
 __all__ = [
     "ConsistencyCheck",
@@ -206,6 +206,11 @@ def chi_Q_via_rm_prototypes(D: int) -> Fraction:
 def num_components(D: int) -> int:
     """Number of connected components of the W locus."""
     check_discriminant(D)
+    return _components(D)
+
+
+def _components(D: int) -> int:
+    """num_components of a checked D."""
     if D < 5:
         return 0
     return 2 if _spin_applies(D) else 1
@@ -367,23 +372,24 @@ class EulerReport:
 
 
 def euler_report(D: int) -> EulerReport:
+    """All Euler data of D, checked once here; the body reads unchecked internals."""
     check_discriminant(D)
-    d0, f = decompose_discriminant(D)
+    d0, f = _decompose(D)
     chis = _chis(D)
     one_cyl, one_spin = _one_cylinder(D)
     return EulerReport(
         D=D,
         d0=d0,
         f=f,
-        h=h2(D),
+        h=_h2(D),
         chi_x=chis["X"],
         chi_w=chis["W"],
         chi_w_components=(chis["W0"], chis["W1"]) if "W0" in chis else None,
         chi_p=chis.get("P"),
         chi_q=chis.get("Q"),
         chi_s=chis.get("S"),
-        components=num_components(D),
-        cusps_two_cylinder=sum(n for _, _, _, n in _w_cusps(D)),
+        components=_components(D),
+        cusps_two_cylinder=_w_count(D),
         cusps_one_cylinder=one_cyl,
         cusps_one_cylinder_spin=one_spin,
     )

@@ -26,6 +26,7 @@ from functools import lru_cache
 
 from .exact import (
     QuadNum,
+    _factor,
     _integer,
     _is_name,
     check_discriminant,
@@ -148,8 +149,8 @@ def _triples(D: int) -> tuple[tuple[int, int, int], ...]:
     t = -ac = (D - b^2)/4, giving (a, b, -t//a) before (t//a, b, -a).
     For square D = d^2 the degenerate triples (a, -d, 0) have 0 < a < d:
     (d, -d, 0) is both terminal and degenerate, which no kind admits.
-    The cache holds one discriminant, so the per-D reports and the three
-    kinds of `_enumerate` share one scan.
+    The cache holds one discriminant, so `sv_report`, the cusp complex
+    and the three kinds of `_enumerate` share one scan.
     """
     out = []
     d = math.isqrt(D)
@@ -181,6 +182,52 @@ def _w_cusps(D: int):
             m = math.gcd(a, c)
             g = math.gcd(m, b)
             yield a, b, c, m if g == 1 else euler_phi(g) * (m // g)
+
+
+def _w_count(D: int) -> int:
+    """The number of kind W prototypes of a checked D, from factorizations only.
+
+    It equals the sum of n over `_w_cusps(D)`, which is its oracle.  For
+    b >= 0 with b = D (mod 2) and t = (D - b^2)/4 > 0, let F(t, b) be the
+    sum over a | t of h(gcd(a, t/a)), where h(m) = phi(g) m/g with
+    g = gcd(m, b): the residue count of `_w_cusps`.  F is multiplicative
+    in t; over p^e || t it takes the factor sum over i = 0..e of
+    h(p^min(i, e - i)), where h(p^k) = p^k if p does not divide b and
+    p^k - p^(k-1) if it does (h(1) = 1), so each e = 1 gives 2.
+
+    The triples of +b and -b pair off with the ordered factorizations
+    (a, t/a), which all carry the same residue count.  For a < t/a and
+    b > 0, (a, -b, -t/a) is always W, (t/a, b, -a) never, (a, b, -t/a)
+    when t/a - a > b and (t/a, -b, -a) when t/a - a < b; a = t/a gives
+    the one W triple (a, -b, -a).  So b > 0 adds F(t, b), less a
+    factorization with t/a - a = b, whose triple is terminal.  That
+    happens only at square D = d^2, with a = (d - b)/2 and count
+    phi(gcd((d - b)/2, b)).  At b = 0 only (a, 0, -t/a) with a < t/a is
+    W, so b = 0 adds F(t, 0)/2, less half the count phi(r) of a = t/a = r
+    when t = r^2.  `h2` factors the same t into the shared `_factor`.
+    """
+    d = math.isqrt(D)
+    total = 0
+    for b in range(D % 2, math.isqrt(D - 1) + 1, 2):
+        t = (D - b * b) // 4
+        f = 1
+        for p, e in _factor(t):
+            if e == 1:
+                f *= 2
+                continue
+            lost = b % p == 0  # h(p^k) loses p^(k-1)
+            f *= sum(
+                pk - pk // p if lost else pk
+                for pk in (p ** min(i, e - i) for i in range(e + 1))
+            )
+        if b == 0:
+            r = math.isqrt(t)
+            total += (f - euler_phi(r) if r * r == t else f) // 2
+        elif d * d == D:
+            total += f - euler_phi(math.gcd((d - b) // 2, b))
+        else:
+            total += f
+    return total
 
 
 def _unchecked(kind: str, D: int, a: int, b: int, c: int, q: int) -> Prototype:

@@ -6,8 +6,9 @@ value gets the entry point's ValueError, never a TypeError from a lookup.
 The reference oracle checks D and its kind at entry with the rules of
 `exact` and takes nothing from the enumerator.  The identity chain and
 the Siegel-Veech constants build each Euler table they read once, and
-`sv_report` checks its discriminant once, at entry.  The last test runs
-error paths of the public API that no other test reaches.
+`sv_report` and `euler_report` each check their discriminant once, at
+entry.  The last test runs error paths of the public API that no other
+test reaches.
 """
 
 import ast
@@ -125,9 +126,8 @@ def test_a_checked_discriminant_builds_each_euler_table_once(monkeypatch):
     assert calls == [41]
 
 
-@pytest.mark.parametrize("D", [12, 41, 45])
-def test_sv_report_checks_its_discriminant_once(monkeypatch, D):
-    """One check at sv_report's entry; the body reads unchecked internals."""
+def _counted_checks(monkeypatch) -> list[str]:
+    """Wrap every discriminant check; each call appends its name to the list returned."""
     calls = []
 
     def counted(name, func):
@@ -141,8 +141,23 @@ def test_sv_report_checks_its_discriminant_once(monkeypatch, D):
         for name in ("check_discriminant", "decompose_discriminant", "_check_sv_discriminant"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("D", [12, 41, 45])
+def test_sv_report_checks_its_discriminant_once(monkeypatch, D):
+    """One check at sv_report's entry; the body reads unchecked internals."""
+    calls = _counted_checks(monkeypatch)
     siegelveech.sv_report(D)
     assert sorted(calls) == ["_check_sv_discriminant", "check_discriminant"]
+
+
+@pytest.mark.parametrize("D", [1, 4, 12, 25, 41, 45])
+def test_euler_report_checks_its_discriminant_once(monkeypatch, D):
+    """One check at euler_report's entry; h2, D0 and the components are unchecked."""
+    calls = _counted_checks(monkeypatch)
+    euler.euler_report(D)
+    assert calls == ["check_discriminant"]
 
 
 Q = QuadNum(5, 1, 1)

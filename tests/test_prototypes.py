@@ -8,6 +8,7 @@ from wcurves.exact import QuadNum, is_discriminant
 from wcurves.prototypes import (
     Prototype,
     _enumerate,
+    _w_count,
     _w_cusps,
     canonical,
     enumerate_prototypes,
@@ -359,6 +360,18 @@ def test_w_residue_counts_match_enumeration():
         if D % 4 in (0, 1):
             count = sum(n for *_, n in _w_cusps(D))
             assert count == len(enumerate_prototypes(D, "W")), D
+
+
+_LARGE_DISCS = st.one_of(
+    st.integers(1, 2 * 10**5).filter(is_discriminant),
+    st.integers(1, 447).map(lambda d: d * d),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_LARGE_DISCS)
+def test_w_count_matches_the_scan(D):
+    assert _w_count(D) == sum(n for *_, n in _w_cusps(D))
 
 
 def test_enumeration_cache_holds_one_discriminant():

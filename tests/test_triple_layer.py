@@ -7,8 +7,9 @@ cusps over each junction from its triple alone, enumerating kind Y only.
 These tests rebuild every such Prototype through the validating
 constructor, compare the complex's fibers with a grouping of the W and P
 enumeration by `y_image`, pin the kinds that `build_complex` enumerates,
-pin the scan `_triples` to a brute-force (a, c) grid, and pin the
-one-discriminant caches and the construction count.
+pin the scan `_triples` to a brute-force (a, c) grid, pin that
+`euler_report` makes no scan, and pin the one-discriminant caches and the
+construction count.
 """
 
 import math
@@ -133,6 +134,14 @@ def test_triples_cache_holds_one_discriminant():
         if D >= 5:
             build_complex(D)
     assert _triples.cache_info().currsize <= 1
+
+
+def test_euler_report_makes_no_triple_scan():
+    _triples.cache_clear()
+    for D in [*range(1, 401), 19881, 20001, 50020, 50021, 50033, 50176]:
+        if is_discriminant(D):
+            euler_report(D)
+    assert _triples.cache_info().misses == 0
 
 
 def test_interleaved_discriminants_match_cold_calls():
