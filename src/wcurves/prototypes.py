@@ -136,8 +136,9 @@ def _y_key(a: int, b: int, c: int, q: int) -> tuple[int, int, int, int]:
 
 
 def canonical(p: Prototype) -> Prototype:
-    """Canonical representative of p under the identification pairing."""
-    return _unchecked(p.kind, p.D, *_canonical_triple(p.a, p.b, p.c), p.q)
+    """Canonical representative of p under the identification pairing; p if canonical."""
+    triple = _canonical_triple(p.a, p.b, p.c)
+    return p if triple == (p.a, p.b, p.c) else _unchecked(p.kind, p.D, *triple, p.q)
 
 
 @lru_cache(maxsize=1)

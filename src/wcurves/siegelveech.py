@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .euler import _chis
 from .exact import (
@@ -69,7 +68,7 @@ def v_of_prototype(p: Prototype) -> QuadNum:
     lam = lambda_of(p)
     lam2 = lam * lam
     lead = -p.c // math.gcd(p.a, p.c)
-    out = lead * (1 - Fraction(p.a, p.c) * lam2) * (1 + lam2.inverse())
+    out = lead * (1 - lam2 * p.a / p.c) * (1 + lam2.inverse())
     assert out.sign1() > 0
     return out
 

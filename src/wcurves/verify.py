@@ -13,6 +13,7 @@ failure lines, so a regression names what broke and where.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -75,32 +76,49 @@ def _check_enumeration(D: int):
 def _check_dynamics(D: int):
     ys = enumerate_prototypes(D, "Y")
     square = is_square(D)
-    nexts = []
+    # Each map's image of each Y prototype, computed once.  The keys are
+    # abcq tuples, which hash faster than a Prototype.  An image that is
+    # not a key comes only from a broken map, and goes through the map.
+    nexts = {p.abcq: next_prototype(p) for p in ys if not p.is_terminal}
+    prevs = {p.abcq: prev_prototype(p) for p in ys if not p.is_degenerate}
+    ts = {p.abcq: t_involution(p) for p in ys if not p.is_degenerate}
+    lams = {} if square else {p.abcq: lambda_of(p) for p in ys}
+
+    def image(table, fn, x):
+        out = table.get(x.abcq)
+        return fn(x) if out is None else out
+
     for p in ys:
-        nxt = None if p.is_terminal else next_prototype(p)
-        prv = None if p.is_degenerate else prev_prototype(p)
+        key = p.abcq
+        nxt = nexts.get(key)
+        prv = prevs.get(key)
         if nxt is not None:
-            nexts.append(nxt)
-            yield "prev_of_next", prev_prototype(nxt) == p, p
+            yield "prev_of_next", image(prevs, prev_prototype, nxt) == p, p
         if prv is not None:
-            tp = t_involution(p)
-            yield "next_of_prev", next_prototype(prv) == p, p
-            yield "t_involutive", t_involution(tp) == p, p
+            tp = ts[key]
+            yield "next_of_prev", image(nexts, next_prototype, prv) == p, p
+            yield "t_involutive", image(ts, t_involution, tp) == p, p
             yield "multiplicity_positive", multiplicity(p) >= 1, p
             if nxt is not None:
-                yield "t_next_is_prev_t", t_involution(nxt) == prev_prototype(tp), p
+                yield (
+                    "t_next_is_prev_t",
+                    image(ts, t_involution, nxt) == image(prevs, prev_prototype, tp),
+                    p,
+                )
         if p.is_terminal or p.is_initial:
             yield "boundary_multiplicity", p.is_degenerate or multiplicity(p) == 1, p
         yield "orbifold_order_positive", orbifold_order(p) >= 1, p
         if not square:
-            lam = lambda_of(p)
-            want = lam - 1 if (lam - 2).sign1() >= 0 else (lam - 1).inverse()
-            yield "lambda_next", lambda_of(nxt) == want, p
-            want = lam + 1 if (lam + 1).norm() <= 0 else (lam + 1) / lam
-            yield "lambda_prev", lambda_of(prv) == want, p
+            lam = lams[key]
+            down = lam - 1
+            want = down if (lam - 2).sign1() >= 0 else down.inverse()
+            yield "lambda_next", image(lams, lambda_of, nxt) == want, p
+            up = lam + 1
+            want = up if up.norm() <= 0 else up / lam
+            yield "lambda_prev", image(lams, lambda_of, prv) == want, p
             yield "lambda_norm", lam.norm() == Fraction(p.c, p.a), p
     if not square:
-        yield "next_permutes", set(nexts) == set(ys)
+        yield "next_permutes", set(nexts.values()) == set(ys)
     chains = orbits(D)
     yield "orbits_cover", sum(len(ch) for ch in chains) == len(ys)
 
@@ -174,16 +192,15 @@ def _check_boundary(D: int):
             yield "tau_closed", cx.tau(n.id) in node_ids, n.id
     if _spin_applies(D):
         square = is_square(D)
-        by_prototype = {e.prototype: e for e in cx.junctions}
+        spins = {e.prototype.abcq: [spin(w) for w in e.w_fiber] for e in cx.junctions}
         for e in cx.junctions:
             p = e.prototype
             if p.is_degenerate:
                 continue
-            lhs = sum(1 for w in e.w_fiber if spin(w) == 1)
+            lhs = spins[p.abcq].count(1)
             if square and p.is_terminal:
                 lhs += 1
-            tp = t_involution(p)
-            rhs = sum(1 for w in by_prototype[tp].w_fiber if spin(w) == 0)
+            rhs = spins[t_involution(p).abcq].count(0)
             yield "spin_balance", lhs == rhs, lambda: f"{p}: {lhs} != {rhs}"
 
 
@@ -191,7 +208,7 @@ def _check_ledger(D: int):
     if not boundary._ledger_applies(D):
         return
     square = is_square(D)
-    fc = lambda name: boundary.fundamental_class(D, name)
+    fc = functools.cache(lambda name: boundary.fundamental_class(D, name))
     pair = boundary.intersect
     split = _spin_applies(D)
     yield "ledger_w_squared", pair(fc("W"), fc("W")) == euler.chi_W(D) / 3

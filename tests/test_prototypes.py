@@ -164,6 +164,28 @@ def test_canonical_degenerate_identification():
     assert canonical(p) == Prototype("Y", 16, 1, -4, 0)
 
 
+def test_canonical_returns_a_canonical_prototype_itself():
+    partners = 0
+    for D in range(1, 201):
+        if not is_discriminant(D):
+            continue
+        for kind in ("Y", "W", "P"):
+            for p in enumerate_prototypes(D, kind):
+                assert canonical(p) is p, p
+                a, b, c, q = p.abcq
+                if p.is_terminal:
+                    partner = (-c, -b, -a)
+                elif p.is_degenerate:
+                    partner = (-b - a, b, 0)
+                else:
+                    continue
+                if partner != (a, b, c):
+                    other = Prototype(kind, D, *partner, q)
+                    assert canonical(other) == p and canonical(other) is not other, other
+                    partners += 1
+    assert partners > 0
+
+
 def test_degenerate_modulus_uses_full_gcd():
     assert _tuples(16, "Y") == [
         (1, -4, 0, 0),

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from wcurves import boundary, euler, prototypes, reference, siegelveech, verify
-from wcurves.exact import QuadNum
+from wcurves.exact import QuadNum, is_square
 from wcurves.prototypes import Prototype
 from wcurves.verify import verify_discriminant, verify_range
 
@@ -231,3 +232,75 @@ def test_invalid_discriminant_raises(D):
     # bad input is the caller's error, not a failure of the suites
     with pytest.raises(ValueError, match=rf"^invalid discriminant {D}: need an integer >= 1 "):
         verify_discriminant(D)
+
+
+def _counted(monkeypatch, names) -> Counter:
+    """Wrap each named function that verify imports; the Counter returned counts calls."""
+    calls = Counter()
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    return calls
+
+
+_MAPS = ("next_prototype", "prev_prototype", "t_involution", "lambda_of")
+
+
+@pytest.mark.parametrize("D", [12, 17, 41, 49, 81])
+def test_dynamics_applies_each_map_once_per_prototype(monkeypatch, D):
+    calls = _counted(monkeypatch, _MAPS)
+    checks = list(verify._check_dynamics(D))
+    assert checks and all(check[1] for check in checks)
+    ys = prototypes.enumerate_prototypes(D, "Y")
+    nondegenerate = sum(not p.is_degenerate for p in ys)
+    assert {name: calls[name] for name in _MAPS} == {
+        "next_prototype": sum(not p.is_terminal for p in ys),
+        "prev_prototype": nondegenerate,
+        "t_involution": nondegenerate,
+        "lambda_of": 0 if is_square(D) else len(ys),
+    }
+
+
+@pytest.mark.parametrize("D", [12, 17, 41, 49, 81])
+def test_boundary_spins_each_w_cusp_once(monkeypatch, D):
+    calls = _counted(monkeypatch, ("spin",))
+    checks = list(verify._check_boundary(D))
+    assert all(check[1] for check in checks)
+    split = prototypes._spin_applies(D)
+    assert any(check[0] == "spin_balance" for check in checks) == split
+    assert calls["spin"] == (len(prototypes.enumerate_prototypes(D, "W")) if split else 0)
+
+
+@pytest.mark.parametrize("D", [12, 17, 41, 49, 81])
+def test_reference_scans_the_grid_once_for_the_three_kinds(D):
+    reference._grid.cache_clear()
+    verify_discriminant(D)
+    info = reference._grid.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_an_image_outside_the_table_goes_through_the_maps(monkeypatch):
+    # A broken next_prototype whose images are no Y prototypes of D: the
+    # suite holds no stored image for them, so it applies the maps to them
+    # and its checks fail, where a lookup would raise KeyError.
+    right = verify.next_prototype
+
+    def shifted(p):
+        n = right(p)
+        return prototypes._unchecked("Y", n.D, n.a, n.b, n.c, n.q + n.modulus)
+
+    monkeypatch.setattr(verify, "next_prototype", shifted)
+    r = verify_discriminant(17)
+    assert not any(f.startswith("dynamics:") for f in r.failures), r.failures
+    assert r.failures == tuple(
+        f"{name}: {p}"
+        for p in ("Y(1,-3,-2,0)", "Y(1,-1,-4,0)", "Y(1,1,-4,0)", "Y(2,-3,-1,0)", "Y(2,-1,-2,0)")
+        for name in ("prev_of_next", "next_of_prev", "t_next_is_prev_t")
+    ) + ("next_permutes",)
