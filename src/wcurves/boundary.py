@@ -23,13 +23,13 @@ UNDETERMINED sentinel rather than to a fabricated number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .euler import _one_cylinder, chi_X
 from .exact import (
     _is_name,
+    _record,
     check_discriminant,
     decompose_discriminant,
     euler_phi,
@@ -81,23 +81,16 @@ def _node_id(a: int, b: int, c: int, q: int) -> str:
     return f"C({a},{b},{c},{q})"
 
 
-@dataclass(frozen=True)
-class CurveNode:
-    id: str
-    prototype: Prototype | None
-    wcusps: int | None
-    pcusps: int
-    spins: tuple[int, ...] | None
+class CurveNode(_record("CurveNode", "id prototype wcusps pcusps spins")):
+    """A curve: its id, its Prototype (None for S1, S2), cusp counts and spins."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class JunctionEdge:
-    prototype: Prototype
-    m: int
-    src: str
-    dst: str
-    wcusps: int
-    pcusps: int
+class JunctionEdge(_record("JunctionEdge", "prototype m src dst wcusps pcusps")):
+    """A junction: its Prototype, orbifold order, end curves and cusp counts."""
+
+    __slots__ = ()
 
     @property
     def w_fiber(self) -> tuple[Prototype, ...]:
@@ -115,12 +108,14 @@ class JunctionEdge:
         return tuple(_unchecked(kind, p.D, p.a, p.b, p.c, p.q + k * g) for k in range(n))
 
 
-@dataclass(frozen=True)
-class CuspComplex:
-    D: int
-    curves: tuple[CurveNode, ...]
-    junctions: tuple[JunctionEdge, ...]
-    s1s2_points: int | None
+class CuspComplex(_record("CuspComplex", "D curves junctions s1s2_points")):
+    """The curves and junctions of D, and the S1.S2 points of square D."""
+
+    # No __slots__: the cached_property below needs an instance __dict__.
+    # It writes there directly, so every attribute assignment can raise.
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a CuspComplex is immutable")
 
     @cached_property
     def _curves_by_id(self) -> dict[str, CurveNode]:
@@ -184,16 +179,9 @@ def build_complex(D: int) -> CuspComplex:
                 s0, s1 = _spin_split(a, b, c, wcusps, f)
                 spins = (0,) * s0 + (1,) * s1
             curves.append(CurveNode(_node_id(*key), p, wcusps, pcusps, spins))
-        junctions.append(
-            JunctionEdge(
-                prototype=p,
-                m=orbifold_order(p),
-                src="S1" if p.is_degenerate else _node_id(*key),
-                dst="S2" if p.is_terminal else _node_id(*_next_triple(a, b, c), q),
-                wcusps=wcusps,
-                pcusps=pcusps,
-            )
-        )
+        src = "S1" if p.is_degenerate else _node_id(*key)
+        dst = "S2" if p.is_terminal else _node_id(*_next_triple(a, b, c), q)
+        junctions.append(JunctionEdge(p, orbifold_order(p), src, dst, wcusps, pcusps))
     s1s2 = None
     if square:
         s1s2 = euler_phi(math.isqrt(D)) // 2
@@ -201,12 +189,7 @@ def build_complex(D: int) -> CuspComplex:
         one_spins = (0,) * split[0] + (1,) * split[1] if split else None
         curves.append(CurveNode("S1", None, one_total, 0, one_spins))
         curves.append(CurveNode("S2", None, 0, 0, None))
-    return CuspComplex(
-        D=D,
-        curves=tuple(curves),
-        junctions=tuple(junctions),
-        s1s2_points=s1s2,
-    )
+    return CuspComplex(D, tuple(curves), tuple(junctions), s1s2)
 
 
 def export_dot(complex_: CuspComplex) -> str:
@@ -231,14 +214,10 @@ def export_dot(complex_: CuspComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class CohClass:
+class CohClass(_record("CohClass", "D omega1 omega2 b")):
     """a1*omega1 + a2*omega2 plus a formal boundary part."""
 
-    D: int
-    omega1: Fraction
-    omega2: Fraction
-    b: tuple[tuple[str, Fraction], ...]
+    __slots__ = ()
 
 
 def _ledger_applies(D: int) -> bool:

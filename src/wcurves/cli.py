@@ -62,8 +62,7 @@ def _cmd_prototypes(args) -> int:
         text = json.dumps([prototype_to_json(p) for p in protos], indent=2)
     elif args.format == "csv":
         rows = [["kind", "D", "a", "b", "c", "q", "modulus"]]
-        rows += [[p.kind, str(p.D), str(p.a), str(p.b), str(p.c), str(p.q), str(p.modulus)]
-                 for p in protos]
+        rows += [[*map(str, p), str(p.modulus)] for p in protos]
         text = _csv(rows)
     else:
         text = "\n".join(str(p) for p in protos)

@@ -9,7 +9,6 @@ fibered curves that appear when D = d^2 is square.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,6 +17,7 @@ from .exact import (
     _discriminants,
     _factor,
     _integer,
+    _record,
     _sigma,
     check_discriminant,
     decompose_discriminant,
@@ -70,7 +70,11 @@ def h2(D: int) -> Fraction:
     return _h2(D)
 
 
-@lru_cache(maxsize=None)
+# The h2 values kept: more than the 1,507 D of a 1,500-D euler sweep.
+_H2_CACHE = 2048
+
+
+@lru_cache(maxsize=_H2_CACHE)
 def _h2(D: int) -> Fraction:
     """h2 of a checked D."""
     if D == 0:
@@ -260,11 +264,10 @@ def lyapunov_lambda2(stratum: str) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class ConsistencyCheck:
-    name: str
-    lhs: Fraction
-    rhs: Fraction
+class ConsistencyCheck(_record("ConsistencyCheck", "name lhs rhs")):
+    """One cross-check of consistency_chain: it holds when lhs == rhs."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -325,24 +328,14 @@ def consistency_chain(D: int) -> list[ConsistencyCheck]:
     return checks
 
 
-@dataclass(frozen=True)
-class EulerReport:
+class EulerReport(_record(
+    "EulerReport",
+    "D d0 f h chi_x chi_w chi_w_components chi_p chi_q chi_s components"
+    " cusps_two_cylinder cusps_one_cylinder cusps_one_cylinder_spin",
+)):
     """All Euler data of one discriminant, with None for undefined entries."""
 
-    D: int
-    d0: int
-    f: int
-    h: Fraction
-    chi_x: Fraction
-    chi_w: Fraction
-    chi_w_components: tuple[Fraction, Fraction] | None
-    chi_p: Fraction | None
-    chi_q: Fraction | None
-    chi_s: Fraction | None
-    components: int
-    cusps_two_cylinder: int
-    cusps_one_cylinder: int | None
-    cusps_one_cylinder_spin: tuple[int, int] | None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         def frac(x):

@@ -19,11 +19,14 @@ fails.  The name rule `_is_name` accepts a str that a table of kind or
 class names holds.  The range walker `_discriminants` yields each
 discriminant of [dmin, dmax] at or above a minimum, ascending; the CLI,
 `verify_range` and `h_table` walk their ranges with it.
+
+The value records of every layer are named tuples made by `_record`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -89,7 +92,33 @@ def check_discriminant(D: int, minimum: int = 1) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+# The factorizations kept.  An euler sweep over 1,500 consecutive D asks
+# for 1,891, so it evicts none; a longer sweep stays in bounded memory.
+_FACTOR_CACHE = 4096
+
+
+def _record(name: str, fields: str) -> type:
+    """A named tuple class whose instances equal only records of their own class.
+
+    Tuple equality alone would make a record equal to a plain tuple, or
+    to a record of another class, that holds the same values.  The hash
+    stays tuple.__hash__, the hash of the field tuple.  A record class
+    subclasses the result, with __slots__ = () unless it needs a __dict__.
+    """
+    eq, ne = tuple.__eq__, tuple.__ne__
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and eq(self, other)
+
+    def __ne__(self, other):
+        return self.__class__ is not other.__class__ or ne(self, other)
+
+    base = namedtuple(name, fields)
+    base.__eq__, base.__ne__, base.__hash__ = __eq__, __ne__, tuple.__hash__
+    return base
+
+
+@lru_cache(maxsize=_FACTOR_CACHE)
 def _factor(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, e), ...) with p increasing."""
     if n < 1:

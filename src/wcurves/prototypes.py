@@ -21,7 +21,6 @@ lexicographically smaller triple, and enumeration emits canonicals only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .exact import (
@@ -29,6 +28,7 @@ from .exact import (
     _factor,
     _integer,
     _is_name,
+    _record,
     check_discriminant,
     decompose_discriminant,
     euler_phi,
@@ -56,39 +56,45 @@ __all__ = [
 
 # Each kind's strict upper bounds on c and on a + b + c.
 _BOUNDS = {"Y": (1, 1), "P": (0, 1), "W": (0, 0)}
+_new = tuple.__new__
 
 
 def _kind_modulus(kind: str, a: int, b: int, c: int) -> int:
     return math.gcd(a, b, c) if kind == "Y" else math.gcd(a, c)
 
 
-@dataclass(frozen=True)
-class Prototype:
-    """One cusp prototype (a, b, c, q) of kind Y, W or P."""
+class Prototype(_record("Prototype", "kind D a b c q")):
+    """One cusp prototype (a, b, c, q) of kind Y, W or P.
 
-    kind: str
-    D: int
-    a: int
-    b: int
-    c: int
-    q: int = 0
+    The constructor checks every condition of the kind, and `_make` and
+    `_replace` build through it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, D: int, a: int, b: int, c: int, q: int = 0):
+        self = _new(cls, (kind, D, a, b, c, q))
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> Prototype:
+        return cls(*iterable)
 
     def __post_init__(self):
-        if not _is_name(self.kind, _BOUNDS):
-            raise ValueError(f"unknown prototype kind {self.kind!r}")
-        check_discriminant(self.D)
-        a, b, c, q = self.a, self.b, self.c, self.q
-        for name in "abcq":
-            _integer(getattr(self, name), "Prototype", name)
-        if b * b - 4 * a * c != self.D:
-            raise ValueError(
-                f"({a},{b},{c}) has discriminant {b * b - 4 * a * c}, not {self.D}"
-            )
-        c_top, s_top = _BOUNDS[self.kind]
+        kind, D, a, b, c, q = self
+        if not _is_name(kind, _BOUNDS):
+            raise ValueError(f"unknown prototype kind {kind!r}")
+        check_discriminant(D)
+        for name, value in zip("abcq", self[2:]):
+            _integer(value, "Prototype", name)
+        if b * b - 4 * a * c != D:
+            raise ValueError(f"({a},{b},{c}) has discriminant {b * b - 4 * a * c}, not {D}")
+        c_top, s_top = _BOUNDS[kind]
         s = a + b + c
         if not (a > 0 and c < c_top and s < s_top and (c != 0 or s != 0)):
             raise ValueError(
-                f"({a},{b},{c}) is not a kind {self.kind} triple: it needs a > 0, "
+                f"({a},{b},{c}) is not a kind {kind} triple: it needs a > 0, "
                 f"c < {c_top}, a+b+c < {s_top} and not c = a+b+c = 0"
             )
         m = self.modulus
@@ -115,7 +121,7 @@ class Prototype:
 
     @property
     def abcq(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.q)
+        return self[2:]
 
     def __str__(self) -> str:
         return f"{self.kind}({self.a},{self.b},{self.c},{self.q})"
@@ -233,18 +239,7 @@ def _w_count(D: int) -> int:
 
 def _unchecked(kind: str, D: int, a: int, b: int, c: int, q: int) -> Prototype:
     """A Prototype built without __post_init__, for results that inherit validity."""
-    p = object.__new__(Prototype)
-    # One object.__setattr__ per field in field order, as the frozen
-    # dataclass __init__ does, keeps the instance dict as small as a
-    # validated Prototype's.
-    put = object.__setattr__
-    put(p, "kind", kind)
-    put(p, "D", D)
-    put(p, "a", a)
-    put(p, "b", b)
-    put(p, "c", c)
-    put(p, "q", q)
-    return p
+    return _new(Prototype, (kind, D, a, b, c, q))
 
 
 @lru_cache(maxsize=3)
@@ -440,12 +435,7 @@ def orbits(D: int) -> list[list[Prototype]]:
 
 def prototype_to_json(p: Prototype) -> dict:
     return {
-        "kind": p.kind,
-        "D": p.D,
-        "a": p.a,
-        "b": p.b,
-        "c": p.c,
-        "q": p.q,
+        **p._asdict(),
         "modulus": p.modulus,
         "terminal": p.is_terminal,
         "initial": p.is_initial,

@@ -10,7 +10,6 @@ package outside the standard library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .euler import _chis
 from .exact import (
@@ -18,6 +17,7 @@ from .exact import (
     _decompose,
     _integer,
     _quadnum,
+    _record,
     check_discriminant,
     is_square,
 )
@@ -295,16 +295,10 @@ def billiards_coefficient(D: int, digits: int = 50) -> str:
     return _coefficient(_constants(D)[2], _area(D), digits)
 
 
-@dataclass(frozen=True)
-class SvReport:
+class SvReport(_record("SvReport", "D constant components billiards area coefficient")):
     """Exact cylinder-counting data of one nonsquare discriminant."""
 
-    D: int
-    constant: QuadNum
-    components: tuple[QuadNum, QuadNum] | None
-    billiards: QuadNum
-    area: QuadNum
-    coefficient: str
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -322,11 +316,4 @@ def sv_report(D: int, digits: int = 50) -> SvReport:
     _check_sv_discriminant(D)
     constant, components, billiards = _constants(D)
     area = _area(D)
-    return SvReport(
-        D=D,
-        constant=constant,
-        components=components,
-        billiards=billiards,
-        area=area,
-        coefficient=_coefficient(billiards, area, digits),
-    )
+    return SvReport(D, constant, components, billiards, area, _coefficient(billiards, area, digits))

@@ -16,13 +16,13 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import boundary, euler, reference, siegelveech
 from .exact import (
     _discriminants,
     _is_integer,
+    _record,
     check_discriminant,
     decompose_discriminant,
     is_square,
@@ -48,12 +48,10 @@ from .prototypes import (
 __all__ = ["DiscriminantReport", "verify_discriminant", "verify_range"]
 
 
-@dataclass(frozen=True)
-class DiscriminantReport:
-    D: int
-    passed: int
-    failures: tuple[str, ...]
-    tallies: tuple[tuple[str, int], ...]
+class DiscriminantReport(_record("DiscriminantReport", "D passed failures tallies")):
+    """One D's pass count, failure lines and per-check tallies."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -77,8 +75,9 @@ def _check_dynamics(D: int):
     ys = enumerate_prototypes(D, "Y")
     square = is_square(D)
     # Each map's image of each Y prototype, computed once.  The keys are
-    # abcq tuples, which hash faster than a Prototype.  An image that is
-    # not a key comes only from a broken map, and goes through the map.
+    # abcq tuples, which compare in C; a Prototype compares through its
+    # class check.  An image that is not a key comes only from a broken
+    # map, and goes through the map.
     nexts = {p.abcq: next_prototype(p) for p in ys if not p.is_terminal}
     prevs = {p.abcq: prev_prototype(p) for p in ys if not p.is_degenerate}
     ts = {p.abcq: t_involution(p) for p in ys if not p.is_degenerate}

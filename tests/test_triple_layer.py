@@ -65,7 +65,7 @@ def test_enumerated_prototypes_pass_validation():
                     assert rebuilt == x, (p, x)
                     assert hash(rebuilt) == hash(x), (p, x)
                     assert type(x) is Prototype
-                    assert sys.getsizeof(vars(x)) == sys.getsizeof(vars(rebuilt)), (p, x)
+                    assert sys.getsizeof(x) == sys.getsizeof(rebuilt), (p, x)
 
 
 def test_complex_fibers_match_the_public_route():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -197,8 +196,8 @@ def test_wrong_fiber_count_fails(monkeypatch, field, check):
     # with the enumerator's cusps, so one count off by one must show.
     cx = boundary.build_complex(12)
     edge = cx.junctions[0]
-    wrong = dataclasses.replace(edge, **{field: getattr(edge, field) + 1})
-    mutant = dataclasses.replace(cx, junctions=(wrong, *cx.junctions[1:]))
+    wrong = edge._replace(**{field: getattr(edge, field) + 1})
+    mutant = cx._replace(junctions=(wrong, *cx.junctions[1:]))
     monkeypatch.setattr(boundary, "build_complex", lambda D: mutant)
     r = verify_discriminant(12)
     assert r.failures == (check,)
