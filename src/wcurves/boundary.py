@@ -26,23 +26,23 @@ import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .euler import _one_cylinder, chi_X
+from .euler import _chis, _one_cylinder
 from .exact import (
+    _decompose,
     _is_name,
     _record,
     check_discriminant,
-    decompose_discriminant,
     euler_phi,
     is_square,
     mobius_weighted_sum,
 )
 from .prototypes import (
     Prototype,
+    _enumerate,
     _next_triple,
     _spin_applies,
     _spin_split,
     _unchecked,
-    enumerate_prototypes,
     orbifold_order,
     t_involution,
 )
@@ -166,10 +166,10 @@ class CuspComplex(_record("CuspComplex", "D curves junctions s1s2_points")):
 def build_complex(D: int) -> CuspComplex:
     check_discriminant(D, minimum=5)
     square = is_square(D)
-    f = decompose_discriminant(D)[1] if _spin_applies(D) else None
+    f = _decompose(D)[1] if _spin_applies(D) else None
     curves = []
     junctions = []
-    for p in enumerate_prototypes(D, "Y"):
+    for p in _enumerate(D, "Y"):
         a, b, c, q = key = p.abcq
         pcusps = math.gcd(a, c) // math.gcd(a, b, c) if c < 0 else 0
         wcusps = 0 if p.is_terminal else pcusps
@@ -294,7 +294,7 @@ def _ledger(D: int):
         classes["S1"] = CohClass(D, 6 * inv, Fraction(0), (("S1", one),))
         classes["S2"] = CohClass(D, Fraction(0), 6 * inv, (("S2", one),))
 
-    chi = chi_X(D)
+    chi = _chis(D)["X"]
     if square:
         s, half_phi = mobius_weighted_sum(1, d), Fraction(euler_phi(d), 2)
         rows = [

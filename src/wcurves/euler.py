@@ -20,7 +20,6 @@ from .exact import (
     _record,
     _sigma,
     check_discriminant,
-    decompose_discriminant,
     divisors,
     euler_phi,
     is_square,
@@ -29,7 +28,7 @@ from .exact import (
     mobius_weighted_sum,
     sigma,
 )
-from .prototypes import _spin_applies, _w_count, enumerate_prototypes
+from .prototypes import _enumerate, _spin_applies, _w_count
 
 __all__ = [
     "ConsistencyCheck",
@@ -278,11 +277,11 @@ def consistency_chain(D: int) -> list[ConsistencyCheck]:
     """Cross-checks tying the invariants of discriminant D together."""
     check_discriminant(D)
     checks = []
-    d0, f = decompose_discriminant(D)
+    d0, f = _decompose(D)
     square = d0 == 1
     chi = _chis(D)
     if D >= 5 and not square:
-        h, rs = h2(D), divisors(f)
+        h, rs = _h2(D), divisors(f)
         tables = [chi if r == f else _chis(r * r * d0) for r in rs]
         x_sum = sum((t["X"] for t in tables), Fraction(0))
         w_sum = sum((t["W"] for t in tables), Fraction(0))
@@ -297,7 +296,7 @@ def consistency_chain(D: int) -> list[ConsistencyCheck]:
                 "h2_sigma3",
                 h,
                 -12
-                * zeta_minus_one(d0)
+                * _zeta_minus_one(d0)
                 * sum(
                     (
                         Fraction(mobius(r) * kronecker(d0, r) * r) * sigma(3, f // r)
@@ -321,9 +320,9 @@ def consistency_chain(D: int) -> list[ConsistencyCheck]:
         )
     if D >= 5:
         checks.append(ConsistencyCheck("q_doubles_p", chi["Q"], 2 * chi["P"]))
-    n_w = len(enumerate_prototypes(D, "W"))
-    n_p = len(enumerate_prototypes(D, "P"))
-    n_term = sum(1 for p in enumerate_prototypes(D, "Y") if p.is_terminal) if square else 0
+    n_w = len(_enumerate(D, "W"))
+    n_p = len(_enumerate(D, "P"))
+    n_term = sum(1 for p in _enumerate(D, "Y") if p.is_terminal) if square else 0
     checks.append(ConsistencyCheck("cusp_counts", Fraction(n_p), Fraction(n_w + n_term)))
     return checks
 
@@ -390,4 +389,4 @@ def euler_report(D: int) -> EulerReport:
 
 def h_table(dmin: int, dmax: int) -> list[tuple[int, Fraction]]:
     """Rows (D, H(2, D)) for discriminants in [dmin, dmax], 0 allowed."""
-    return [(D, h2(D)) for D in _discriminants(dmin, dmax, minimum=0)]
+    return [(D, _h2(D)) for D in _discriminants(dmin, dmax, minimum=0)]

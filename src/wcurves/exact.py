@@ -491,12 +491,23 @@ class QuadNum:
     @classmethod
     def from_json(cls, obj: dict) -> "QuadNum":
         """Read a to_json record as written: disc an int, rat and rad its strings."""
-        return cls(obj["disc"], _fraction_text(obj, "rat"), _fraction_text(obj, "rad"))
+        disc, rat, rad = _json_fields(obj, ("disc", "rat", "rad"), "QuadNum.from_json", only=True)
+        return cls(disc, _fraction_text(rat, "rat"), _fraction_text(rad, "rad"))
 
 
-def _fraction_text(obj: dict, key: str) -> Fraction:
-    """obj[key] as to_json writes a Fraction, str of it in lowest terms ('-3/2', '0')."""
-    text = obj[key]
+def _json_fields(obj: dict, fields: tuple[str, ...], reader: str, only: bool = False) -> list:
+    """The values of fields in obj.  A ValueError names a missing field or, if only, another."""
+    for key in fields:
+        if key not in obj:
+            raise ValueError(f"{reader} needs the field {key!r}")
+    for key in obj if only else ():
+        if key not in fields:
+            raise ValueError(f"{reader} got an unknown field {key!r}")
+    return [obj[key] for key in fields]
+
+
+def _fraction_text(text, key: str) -> Fraction:
+    """text as to_json writes a Fraction, str of it in lowest terms ('-3/2', '0')."""
     try:
         value = Fraction(text) if isinstance(text, str) else None
     except ValueError:

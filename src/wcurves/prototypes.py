@@ -25,12 +25,13 @@ from functools import lru_cache
 
 from .exact import (
     QuadNum,
+    _decompose,
     _factor,
     _integer,
     _is_name,
+    _json_fields,
     _record,
     check_discriminant,
-    decompose_discriminant,
     euler_phi,
     is_square,
 )
@@ -378,7 +379,7 @@ def spin(p: Prototype) -> int:
         raise ValueError(
             f"spin needs D = 1 (mod 8) and D != 9, got D={p.D}"
         )
-    _, f = decompose_discriminant(p.D)
+    _, f = _decompose(p.D)  # p's constructor checked D
     return _spin(p.a, p.b, p.c, p.q, f)
 
 
@@ -449,7 +450,7 @@ def prototype_from_json(obj: dict) -> Prototype:
 
     Each field present must equal the rebuilt record's, type included.
     """
-    p = Prototype(obj["kind"], obj["D"], obj["a"], obj["b"], obj["c"], obj["q"])
+    p = Prototype(*_json_fields(obj, Prototype._fields, "prototype_from_json"))
     rebuilt = prototype_to_json(p)
     for key, value in obj.items():
         if key not in rebuilt or not _same_json(rebuilt[key], value):

@@ -10,6 +10,7 @@ package outside the standard library.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .euler import _chis
 from .exact import (
@@ -24,6 +25,7 @@ from .exact import (
 from .prototypes import (
     Prototype,
     _require_kind,
+    _spin,
     _spin_applies,
     _spin_split,
     _w_cusps,
@@ -113,9 +115,9 @@ def _over_lcm(D: int, sums: dict[int, list[int]]) -> QuadNum:
 def _constants(D: int) -> tuple[QuadNum, tuple[QuadNum, QuadNum] | None, QuadNum]:
     """(c, (c0, c1) or None, billiards constant) from one pass over the W cusps.
 
-    For split D = 1 (mod 8) the component of the unfolded right triangle
-    selects the spin ((1 + f) / 2) mod 2 constant; the W0 key marks a split.
-    D must already be checked as a nonsquare discriminant >= 5.
+    For split D = 1 (mod 8) the billiards constant is that of the spin of
+    the unfolding prototype; the W0 key marks a split.  D must already be
+    checked as a nonsquare discriminant >= 5.
     """
     s0, s1 = _v_sums(D)
     chis = _chis(D)
@@ -124,7 +126,7 @@ def _constants(D: int) -> tuple[QuadNum, tuple[QuadNum, QuadNum] | None, QuadNum
         return constant, None, constant
     components = (s0 / (-2 * chis["W0"]), s1 / (-2 * chis["W1"]))
     _, f = _decompose(D)
-    return constant, components, components[((1 + f) // 2) % 2]
+    return constant, components, components[_spin(1, *_unfolding(D), 0, f)]
 
 
 def sv_constant(D: int) -> QuadNum:
@@ -172,9 +174,6 @@ def unfolding_area(D: int) -> QuadNum:
     return _area(D)
 
 
-# (P, an integer within 2 of pi * 10**P) at the highest P asked for so far:
-# one value, however many precisions are asked for.
-_pi_cache = (0, 3)
 # Guard digits of the first fixed-point pass of _round_pi_times.
 _GUARD = 10
 # _decimal converts in blocks of 500 digits.
@@ -198,24 +197,18 @@ def _arccot(x: int, unity: int) -> int:
     return total
 
 
+@lru_cache(maxsize=1)
 def _pi_scaled(P: int) -> int:
     """An integer within 2 of pi * 10**P, for P >= 0.
 
     Machin's formula pi = 16 arccot(5) - 4 arccot(239) is summed at
     w = P + g places, g = 3 + len(str(P)).  Each arccot has at most w + 1
     terms, so the sum is within 20(w + 2) < 10**g units, and dividing by
-    10**g leaves an integer within 2 of pi * 10**P.  A lower P truncates
-    the cached value at the highest P so far, which stays within 1.2.
+    10**g leaves an integer within 2 of pi * 10**P.
     """
-    global _pi_cache
-    top, value = _pi_cache
-    if P <= top:
-        return value // 10 ** (top - P)
     g = 3 + len(str(P))
     unity = 10 ** (P + g)
-    value = (16 * _arccot(5, unity) - 4 * _arccot(239, unity)) // 10**g
-    _pi_cache = (P, value)
-    return value
+    return (16 * _arccot(5, unity) - 4 * _arccot(239, unity)) // 10**g
 
 
 def _round_pi_times(v: QuadNum, digits: int, guard: int = _GUARD) -> tuple[int, int]:

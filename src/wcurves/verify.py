@@ -207,7 +207,7 @@ def _check_ledger(D: int):
     if not boundary._ledger_applies(D):
         return
     square = is_square(D)
-    fc = functools.cache(lambda name: boundary.fundamental_class(D, name))
+    fc = functools.partial(boundary.fundamental_class, D)
     pair = boundary.intersect
     split = _spin_applies(D)
     yield "ledger_w_squared", pair(fc("W"), fc("W")) == euler.chi_W(D) / 3

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -291,3 +293,29 @@ def test_range_without_discriminants_is_an_error(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def _readme_cli_lines():
+    """The argument lists of the `wcurves ...` lines in the README's CLI block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line.split("#", 1)[0])[1:]
+        for line in block.splitlines()
+        if line.startswith("wcurves ")
+    ]
+
+
+def test_readme_cli_block_runs(capsys, tmp_path):
+    lines = _readme_cli_lines()
+    assert len(lines) == 10
+    outputs = {}
+    for argv in lines:
+        if "--regenerate" in argv:
+            argv[argv.index("--output") + 1] = str(tmp_path)
+        assert main(argv) == 0, argv
+        outputs[" ".join(argv)] = capsys.readouterr().out
+    records = json.loads(outputs["prototypes --d 17 --kind w --format json"])
+    assert len(records) == 6
+    assert len(outputs["tables --sv --dmax 100"].splitlines()) == 40
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table1.csv", "table2.csv"]

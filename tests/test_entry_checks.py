@@ -5,20 +5,23 @@ text.  A kind or class name must be a str that its table knows; any other
 value gets the entry point's ValueError, never a TypeError from a lookup.
 The reference oracle checks D and its kind at entry with the rules of
 `exact` and takes nothing from the enumerator.  The identity chain and
-the Siegel-Veech constants build each Euler table they read once, and
-`sv_report` and `euler_report` each check their discriminant once, at
-entry.  The last test runs error paths of the public API that no other
-test reaches.
+the Siegel-Veech constants build each Euler table they read once.
+`sv_report`, `euler_report`, `build_complex` and `fundamental_class`
+each check their discriminant once, at entry, `consistency_chain` once
+more on its independent route, and `spin` never.  The last test runs
+error paths of the public API that no other test reaches.
 """
 
 import ast
+import importlib
 import operator
+import pkgutil
 from pathlib import Path
 
 import pytest
 
 import wcurves
-from wcurves import euler, exact, prototypes, reference, siegelveech
+from wcurves import boundary, euler, exact, prototypes, reference, siegelveech
 from wcurves.exact import QuadNum, sigma
 from wcurves.prototypes import (
     Prototype,
@@ -127,7 +130,10 @@ def test_a_checked_discriminant_builds_each_euler_table_once(monkeypatch):
 
 
 def _counted_checks(monkeypatch) -> list[str]:
-    """Wrap every discriminant check; each call appends its name to the list returned."""
+    """Wrap every discriminant check in every wcurves module.
+
+    Each call appends its name to the list returned.
+    """
     calls = []
 
     def counted(name, func):
@@ -137,7 +143,8 @@ def _counted_checks(monkeypatch) -> list[str]:
 
         return wrapper
 
-    for module in (exact, euler, prototypes, siegelveech):
+    for info in pkgutil.iter_modules(wcurves.__path__):
+        module = importlib.import_module(f"wcurves.{info.name}")
         for name in ("check_discriminant", "decompose_discriminant", "_check_sv_discriminant"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -150,6 +157,39 @@ def test_sv_report_checks_its_discriminant_once(monkeypatch, D):
     calls = _counted_checks(monkeypatch)
     siegelveech.sv_report(D)
     assert sorted(calls) == ["_check_sv_discriminant", "check_discriminant"]
+
+
+@pytest.mark.parametrize("D", [41, 45, 49, 20001])
+def test_each_public_call_checks_its_discriminant_once(monkeypatch, D):
+    """After their own check the entries call the checked cores.
+
+    `consistency_chain` may check twice: its own check, and the one inside
+    `chi_Q_via_rm_prototypes`, the independent route it cross-checks.
+    """
+    ws = enumerate_prototypes(D, "W") if prototypes._spin_applies(D) else []
+    calls = _counted_checks(monkeypatch)
+    boundary._ledger.cache_clear()
+    for run in (
+        euler.euler_report,
+        boundary.build_complex,
+        lambda D: boundary.fundamental_class(D, "W"),
+    ):
+        run(D)
+        assert calls == ["check_discriminant"], run
+        calls.clear()
+    if siegelveech._sv_applies(D):
+        siegelveech.sv_report(D)
+    else:
+        with pytest.raises(ValueError, match="is a square"):
+            siegelveech.sv_report(D)
+    assert sorted(calls) == ["_check_sv_discriminant", "check_discriminant"]
+    calls.clear()
+    euler.consistency_chain(D)
+    assert calls in (["check_discriminant"], ["check_discriminant"] * 2)
+    calls.clear()
+    for w in ws:
+        prototypes.spin(w)
+    assert calls == []
 
 
 @pytest.mark.parametrize("D", [1, 4, 12, 25, 41, 45])

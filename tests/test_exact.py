@@ -235,6 +235,19 @@ def test_quadnum_from_json_coerces_nothing(fields, message):
         QuadNum.from_json({"rat": "3/2", "rad": "-1/2", "disc": 17, **fields})
 
 
+@pytest.mark.parametrize("key", ["disc", "rat", "rad"])
+def test_quadnum_from_json_names_a_missing_field(key):
+    record = {"rat": "3/2", "rad": "-1/2", "disc": 17}
+    del record[key]
+    with pytest.raises(ValueError, match=f"^QuadNum.from_json needs the field '{key}'$"):
+        QuadNum.from_json(record)
+
+
+def test_quadnum_from_json_names_an_unknown_field():
+    with pytest.raises(ValueError, match="^QuadNum.from_json got an unknown field 'junk'$"):
+        QuadNum.from_json({"disc": 5, "rat": "1", "rad": "0", "junk": 1})
+
+
 _rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 _discs = st.sampled_from([5, 8, 9, 12, 13, 17, 25, 44, 49, 173])
 

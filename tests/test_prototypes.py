@@ -343,6 +343,14 @@ def test_json_reader_coerces_nothing(key, value, message):
         prototype_from_json(rec)
 
 
+@pytest.mark.parametrize("key", ["kind", "D", "a", "b", "c", "q"])
+def test_json_reader_names_a_missing_field(key):
+    rec = prototype_to_json(Prototype("W", 17, 1, -3, -2, 0))
+    del rec[key]
+    with pytest.raises(ValueError, match=f"^prototype_from_json needs the field '{key}'$"):
+        prototype_from_json(rec)
+
+
 def test_enumeration_matches_reference_oracle():
     for D in [D for D in range(1, 121) if D % 4 in (0, 1)]:
         for kind in ("Y", "W", "P"):

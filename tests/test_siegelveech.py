@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from wcurves.exact import QuadNum, decompose_discriminant, is_square
+from wcurves.exact import QuadNum, decompose_discriminant, is_discriminant, is_square
 from wcurves.prototypes import (
     Prototype,
     _spin_split,
@@ -93,6 +93,19 @@ def test_billiards_constant():
     assert billiards_constant(5) == Fraction(25, 3)
     assert billiards_constant(17) == _q(17, Fraction(221, 24), Fraction(-1, 8))
     assert billiards_constant(33) == _q(33, Fraction(473, 48), Fraction(11, 144))
+
+
+def test_billiards_constant_is_the_unfolding_components():
+    """Through public functions only: for split D the constant of the spin
+    of the unfolding prototype, for nonsplit D the constant of all of W."""
+    for D in range(5, 2001):
+        if not is_discriminant(D) or is_square(D):
+            continue
+        if D % 8 == 1:
+            want = sv_constant_components(D)[spin(unfolding_prototype(D))]
+        else:
+            want = sv_constant(D)
+        assert billiards_constant(D) == want, D
 
 
 def test_unfolding_prototype():

@@ -89,11 +89,11 @@ def test_complex_fibers_match_the_public_route():
 def test_complex_enumerates_kind_y_only(monkeypatch):
     kinds = []
 
-    def recorded(D, kind="W"):
+    def recorded(D, kind):
         kinds.append(kind)
-        return enumerate_prototypes(D, kind)
+        return _enumerate(D, kind)
 
-    monkeypatch.setattr(boundary, "enumerate_prototypes", recorded)
+    monkeypatch.setattr(boundary, "_enumerate", recorded)
     for D in (17, 49, 20001, 19881):
         build_complex(D)
     assert kinds == ["Y"] * 4
