@@ -39,11 +39,12 @@ from .exact import (
 from .prototypes import (
     Prototype,
     _enumerate,
+    _new,
     _next_triple,
+    _orbifold_order,
     _spin_applies,
     _spin_split,
     _unchecked,
-    orbifold_order,
     t_involution,
 )
 
@@ -165,25 +166,25 @@ class CuspComplex(_record("CuspComplex", "D curves junctions s1s2_points")):
 
 def build_complex(D: int) -> CuspComplex:
     check_discriminant(D, minimum=5)
-    square = is_square(D)
     f = _decompose(D)[1] if _spin_applies(D) else None
-    curves = []
-    junctions = []
+    curves, junctions = [], []
     for p in _enumerate(D, "Y"):
-        a, b, c, q = key = p.abcq
+        _, _, a, b, c, q = p
+        terminal = a + b + c == 0
         pcusps = math.gcd(a, c) // math.gcd(a, b, c) if c < 0 else 0
-        wcusps = 0 if p.is_terminal else pcusps
-        if not p.is_degenerate:
+        wcusps = 0 if terminal else pcusps
+        src = _node_id(a, b, c, q) if c < 0 else "S1"
+        if c < 0:
             spins = None
             if f is not None:
                 s0, s1 = _spin_split(a, b, c, wcusps, f)
                 spins = (0,) * s0 + (1,) * s1
-            curves.append(CurveNode(_node_id(*key), p, wcusps, pcusps, spins))
-        src = "S1" if p.is_degenerate else _node_id(*key)
-        dst = "S2" if p.is_terminal else _node_id(*_next_triple(a, b, c), q)
-        junctions.append(JunctionEdge(p, orbifold_order(p), src, dst, wcusps, pcusps))
+            curves.append(_new(CurveNode, (src, p, wcusps, pcusps, spins)))
+        dst = "S2" if terminal else _node_id(*_next_triple(a, b, c), q)
+        m = _orbifold_order(a, b, c)
+        junctions.append(_new(JunctionEdge, (p, m, src, dst, wcusps, pcusps)))
     s1s2 = None
-    if square:
+    if is_square(D):
         s1s2 = euler_phi(math.isqrt(D)) // 2
         one_total, split = _one_cylinder(D)
         one_spins = (0,) * split[0] + (1,) * split[1] if split else None

@@ -74,6 +74,9 @@ class Prototype(_record("Prototype", "kind D a b c q")):
     __slots__ = ()
 
     def __new__(cls, kind: str, D: int, a: int, b: int, c: int, q: int = 0):
+        if not _is_name(kind, _BOUNDS):
+            raise ValueError(f"unknown prototype kind {kind!r}")
+        check_discriminant(D)
         self = _new(cls, (kind, D, a, b, c, q))
         self.__post_init__()
         return self
@@ -84,9 +87,6 @@ class Prototype(_record("Prototype", "kind D a b c q")):
 
     def __post_init__(self):
         kind, D, a, b, c, q = self
-        if not _is_name(kind, _BOUNDS):
-            raise ValueError(f"unknown prototype kind {kind!r}")
-        check_discriminant(D)
         for name, value in zip("abcq", self[2:]):
             _integer(value, "Prototype", name)
         if b * b - 4 * a * c != D:
@@ -239,31 +239,32 @@ def _w_count(D: int) -> int:
 
 
 def _unchecked(kind: str, D: int, a: int, b: int, c: int, q: int) -> Prototype:
-    """A Prototype built without __post_init__, for results that inherit validity."""
+    """A Prototype built without any check, for results that inherit validity."""
     return _new(Prototype, (kind, D, a, b, c, q))
 
 
 @lru_cache(maxsize=3)
 def _enumerate(D: int, kind: str) -> tuple[Prototype, ...]:
-    """The canonical prototypes of one kind, valid by construction.
+    """The canonical prototypes of one kind, sorted, valid by construction.
 
-    Each triple satisfies the kind's conditions on c and a + b + c, its
-    canonical partner does too, and q runs over the residues mod the
-    kind's modulus coprime to gcd(a, b, c): what __post_init__ checks.
+    Each triple meets the kind's bounds on c and a + b + c, and q runs over
+    the residues mod the kind's modulus coprime to gcd(a, b, c).  The
+    canonical partner of a terminal or degenerate triple is a listed triple
+    of the same kind, so a noncanonical one is skipped and no set is kept.
     """
     c_top, s_top = _BOUNDS[kind]
-    seen = set()
+    out = []
     for a, b, c in _triples(D):
-        if c >= c_top or a + b + c >= s_top:
-            continue
-        triple = _canonical_triple(a, b, c)
-        g = math.gcd(*triple)
-        seen.update(
-            triple + (q,)
-            for q in range(_kind_modulus(kind, *triple))
-            if math.gcd(g, q) == 1
-        )
-    return tuple(_unchecked(kind, D, *entry) for entry in sorted(seen))
+        s = a + b + c
+        if c < c_top and s < s_top and (s != 0 != c or _canonical_triple(a, b, c) == (a, b, c)):
+            m = _kind_modulus(kind, a, b, c)
+            if m == 1:
+                out.append((a, b, c, 0))
+            else:
+                out += [(a, b, c, q) for q in range(m) if math.gcd(a, b, c, q) == 1]
+    out.sort()
+    head = (kind, D)
+    return tuple([_new(Prototype, head + entry) for entry in out])
 
 
 def enumerate_prototypes(D: int, kind: str = "W") -> list[Prototype]:
@@ -336,14 +337,19 @@ def multiplicity(p: Prototype) -> int:
     return math.gcd(p.a, p.c) // math.gcd(p.a, p.b, p.c)
 
 
-def orbifold_order(p: Prototype) -> int:
-    """Orbifold order of the junction point indexed by p."""
-    _require_kind(p, "Y", "orbifold_order")
-    g = math.gcd(p.a, p.b, p.c)
-    a, b, c = p.a // g, p.b // g, p.c // g
+def _orbifold_order(a: int, b: int, c: int) -> int:
+    """Orbifold order of the junction point over the kind Y triple (a, b, c)."""
+    g = math.gcd(a, b, c)
+    a, b, c = a // g, b // g, c // g
     u = math.gcd(a, c) * math.gcd(a, b + c)
     assert a % u == 0
     return a // u
+
+
+def orbifold_order(p: Prototype) -> int:
+    """Orbifold order of the junction point indexed by p."""
+    _require_kind(p, "Y", "orbifold_order")
+    return _orbifold_order(p.a, p.b, p.c)
 
 
 def _spin_applies(D: int) -> bool:
@@ -399,7 +405,9 @@ def from_splitting_prototype(a: int, b: int, c: int, e: int) -> Prototype:
     g = math.gcd(c, b)
     if g == 0:
         raise ValueError(f"splitting quadruple ({a},{b},{c},{e}) has b = c = 0")
-    return Prototype("W", D, c, e, -b, a % g)
+    p = _unchecked("W", D, c, e, -b, a % g)
+    p.__post_init__()  # D is checked; the field and shape checks remain
+    return p
 
 
 def to_splitting_prototype(p: Prototype) -> tuple[int, int, int, int]:

@@ -28,6 +28,7 @@ from .prototypes import (
     _spin,
     _spin_applies,
     _spin_split,
+    _unchecked,
     _w_cusps,
     lambda_of,
 )
@@ -158,7 +159,7 @@ def _unfolding(D: int) -> tuple[int, int]:
 def unfolding_prototype(D: int) -> Prototype:
     """The cusp prototype of the unfolded right triangle billiard."""
     _check_sv_discriminant(D)
-    return Prototype("W", D, 1, *_unfolding(D), 0)
+    return _unchecked("W", D, 1, *_unfolding(D), 0)  # valid by construction
 
 
 def _area(D: int) -> QuadNum:

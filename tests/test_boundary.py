@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -211,3 +213,24 @@ def test_markers_match_euler_cusp_counts():
         total_p = sum(len(e.p_fiber) for e in cx.junctions)
         assert total_w == len(enumerate_prototypes(D, "W"))
         assert total_p == len(enumerate_prototypes(D, "P"))
+
+
+# sha256 of json.dumps(build_complex(D).to_json(), sort_keys=True), recorded
+# before build_complex read each junction's triple once.  The benchmark's
+# golden digests reach the complex only at nonsquare D, so these cover the
+# square D (S1, S2 and the degenerate junctions) and two split nonsquare D.
+COMPLEX_DIGESTS = {
+    49: "acd0654c659b81e95899a4de4bfc164342c8dfc945d3d5e58a4e5e602b4f5eeb",
+    81: "23ea4cf4b511ef7243b349d7ff0d5f48fa10a3b563b06554d95f58bb9c3c5e51",
+    1369: "c2508136e579f198ddfa2d613e4237d2a81dc167854dd71491ced427625d0f56",
+    19881: "7328d23bd203e63eabe7574264ff3e2a98673bdc743d7f4badf3970b31245a46",
+    20736: "7ebd8e6316c90581bb4150c593a026ae86ea01986e4a61e061c4ecabf484560f",
+    4009: "73e026ca04a7701593b7e8ec4e3c2b0fda5b64f882e9ed99dd0cebdf81d79749",
+    20001: "fac377b37fd64df395e77666a4eacbcfc1ad7193d7095c08a38fbd0889a3c16e",
+}
+
+
+@pytest.mark.parametrize("D", list(COMPLEX_DIGESTS))
+def test_complex_json_is_pinned(D):
+    text = json.dumps(build_complex(D).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == COMPLEX_DIGESTS[D]

@@ -6,9 +6,10 @@ value gets the entry point's ValueError, never a TypeError from a lookup.
 The reference oracle checks D and its kind at entry with the rules of
 `exact` and takes nothing from the enumerator.  The identity chain and
 the Siegel-Veech constants build each Euler table they read once.
-`sv_report`, `euler_report`, `build_complex` and `fundamental_class`
-each check their discriminant once, at entry, `consistency_chain` once
-more on its independent route, and `spin` never.  The last test runs
+`sv_report`, `euler_report`, `build_complex`, `fundamental_class`,
+`unfolding_prototype` and `from_splitting_prototype` each check their
+discriminant once, at entry, `consistency_chain` once more on its
+independent route, and `spin` never.  The last test runs
 error paths of the public API that no other test reaches.
 """
 
@@ -167,6 +168,7 @@ def test_each_public_call_checks_its_discriminant_once(monkeypatch, D):
     `chi_Q_via_rm_prototypes`, the independent route it cross-checks.
     """
     ws = enumerate_prototypes(D, "W") if prototypes._spin_applies(D) else []
+    quadruples = [prototypes.to_splitting_prototype(w) for w in enumerate_prototypes(D, "W")[:5]]
     calls = _counted_checks(monkeypatch)
     boundary._ledger.cache_clear()
     for run in (
@@ -184,6 +186,14 @@ def test_each_public_call_checks_its_discriminant_once(monkeypatch, D):
             siegelveech.sv_report(D)
     assert sorted(calls) == ["_check_sv_discriminant", "check_discriminant"]
     calls.clear()
+    if siegelveech._sv_applies(D):
+        siegelveech.unfolding_prototype(D)
+        assert sorted(calls) == ["_check_sv_discriminant", "check_discriminant"]
+        calls.clear()
+    for quadruple in quadruples:
+        from_splitting_prototype(*quadruple)
+        assert calls == ["check_discriminant"], quadruple
+        calls.clear()
     euler.consistency_chain(D)
     assert calls in (["check_discriminant"], ["check_discriminant"] * 2)
     calls.clear()
@@ -216,6 +226,19 @@ UNREACHED = [
         (1, 0, 0, 3),
         ValueError,
         r"^splitting quadruple \(1,0,0,3\) has b = c = 0$",
+    ),
+    (from_splitting_prototype, (1, 0, 0, 0), ValueError, "^invalid discriminant 0: "),
+    (
+        from_splitting_prototype,
+        (0, 1, 1, 1),
+        ValueError,
+        r"^\(1,1,-1\) is not a kind W triple: ",
+    ),
+    (
+        from_splitting_prototype,
+        (0, 4, 2, -2),
+        ValueError,
+        r"^\(2,-2,-4,0\) violates gcd\(a,b,c,q\) = 1$",
     ),
 ] + [
     (op, args, False if op is operator.eq else TypeError, None)

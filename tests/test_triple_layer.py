@@ -6,7 +6,8 @@ Prototypes without running `__post_init__`, and `build_complex` counts the
 cusps over each junction from its triple alone, enumerating kind Y only.
 These tests rebuild every such Prototype through the validating
 constructor, compare the complex's fibers with a grouping of the W and P
-enumeration by `y_image`, pin the kinds that `build_complex` enumerates,
+enumeration by `y_image` and each curve and junction with the record that
+the public maps build, pin the kinds that `build_complex` enumerates,
 pin the scan `_triples` to a brute-force (a, c) grid, pin that
 `euler_report` makes no scan, and pin the one-discriminant caches and the
 construction count.
@@ -19,17 +20,21 @@ from collections import defaultdict
 import pytest
 
 from wcurves import boundary
-from wcurves.boundary import _node_id, build_complex
+from wcurves.boundary import CurveNode, JunctionEdge, _node_id, build_complex
 from wcurves.euler import euler_report
-from wcurves.exact import is_discriminant
+from wcurves.exact import is_discriminant, is_square
 from wcurves.prototypes import (
     Prototype,
     _enumerate,
+    _spin_applies,
     _triples,
     canonical,
     enumerate_prototypes,
+    multiplicity,
     next_prototype,
+    orbifold_order,
     prev_prototype,
+    spin,
     t_involution,
     y_image,
 )
@@ -80,10 +85,42 @@ def test_complex_fibers_match_the_public_route():
             for edge in cx.junctions:
                 assert getattr(edge, attr) == tuple(groups.pop(edge.prototype, ())), (D, kind)
             assert not groups, (D, kind)  # every cusp lies over a junction
-        for edge in cx.junctions:
-            p = edge.prototype
-            if not p.is_terminal:
-                assert edge.dst == _node_id(*next_prototype(p).abcq), (D, p)
+
+
+def _public_records(D):
+    """The curves C_P and the junctions of D, built from the public maps alone."""
+    fibers = defaultdict(list)
+    for w in enumerate_prototypes(D, "W"):
+        fibers[y_image(w)].append(w)
+    curves, junctions = [], []
+    for p in enumerate_prototypes(D, "Y"):
+        pcusps = 0 if p.is_degenerate else multiplicity(p)
+        wcusps = 0 if p.is_terminal else pcusps
+        fiber = fibers.pop(p, [])
+        assert len(fiber) == wcusps, (D, p)
+        node = _node_id(*p.abcq)
+        if not p.is_degenerate:
+            spins = tuple(sorted(map(spin, fiber))) if _spin_applies(D) else None
+            curves.append(CurveNode(node, p, wcusps, pcusps, spins))
+        src = "S1" if p.is_degenerate else node
+        dst = "S2" if p.is_terminal else _node_id(*next_prototype(p).abcq)
+        junctions.append(JunctionEdge(p, orbifold_order(p), src, dst, wcusps, pcusps))
+    assert not fibers, D
+    return curves, junctions
+
+
+def test_complex_records_match_the_public_maps():
+    for D in [*range(5, 601), 19881, 20001, 20736, 50033]:
+        if not is_discriminant(D):
+            continue
+        cx = build_complex(D)
+        curves, junctions = _public_records(D)
+        assert all(type(x) is JunctionEdge for x in cx.junctions), D
+        assert all(type(x) is CurveNode for x in cx.curves), D
+        assert list(cx.junctions) == junctions, D
+        assert list(cx.curves[: len(curves)]) == curves, D
+        ends = [(x.id, x.prototype) for x in cx.curves[len(curves) :]]
+        assert ends == ([("S1", None), ("S2", None)] if is_square(D) else []), D
 
 
 def test_complex_enumerates_kind_y_only(monkeypatch):
