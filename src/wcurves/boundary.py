@@ -62,16 +62,14 @@ __all__ = [
 
 
 class _Undetermined:
-    """Singleton for pairings the ledger cannot pin down."""
+    """Pairings the ledger cannot pin down; copies and pickles give UNDETERMINED."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    __slots__ = ()
 
     def __repr__(self):
+        return "UNDETERMINED"
+
+    def __reduce__(self):
         return "UNDETERMINED"
 
 

@@ -69,11 +69,8 @@ def h2(D: int) -> Fraction:
     return _h2(D)
 
 
-# The h2 values kept: more than the 1,507 D of a 1,500-D euler sweep.
-_H2_CACHE = 2048
-
-
-@lru_cache(maxsize=_H2_CACHE)
+# Two entries hold what one D asks for: h2 of D and of its D0.
+@lru_cache(maxsize=2)
 def _h2(D: int) -> Fraction:
     """h2 of a checked D."""
     if D == 0:

@@ -105,16 +105,14 @@ def _record(name: str, fields: str) -> type:
     stays tuple.__hash__, the hash of the field tuple.  A record class
     subclasses the result, with __slots__ = () unless it needs a __dict__.
     """
-    eq, ne = tuple.__eq__, tuple.__ne__
+    eq = tuple.__eq__
 
     def __eq__(self, other):
         return self.__class__ is other.__class__ and eq(self, other)
 
-    def __ne__(self, other):
-        return self.__class__ is not other.__class__ or ne(self, other)
-
     base = namedtuple(name, fields)
-    base.__eq__, base.__ne__, base.__hash__ = __eq__, __ne__, tuple.__hash__
+    # object.__ne__ negates __eq__, where tuple.__ne__ would ignore the class.
+    base.__eq__, base.__ne__, base.__hash__ = __eq__, object.__ne__, tuple.__hash__
     return base
 
 
@@ -432,9 +430,7 @@ class QuadNum:
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            u, v, w = self._inverse_ints()
-            p = other.numerator
-            return _quadnum(self._d, u * p, v * p, w * other.denominator)
+            return self.inverse() * other
         return NotImplemented
 
     def __pow__(self, n):

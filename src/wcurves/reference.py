@@ -61,16 +61,13 @@ def reference_tuples(D: int, kind: str) -> list[tuple[int, int, int, int]]:
     kind = kind.upper() if isinstance(kind, str) else kind
     if not _is_name(kind, ("Y", "P", "W")):
         raise ValueError(f"unknown kind {kind!r}")
-    raw = set()
+    out = set()
     for a, b, c in _grid(D):
         if not _valid(kind, a, b, c):
             continue
-        modulus = gcd(a, gcd(b, c)) if kind == "Y" else gcd(a, c)
-        for q in range(modulus):
-            if gcd(gcd(a, gcd(b, c)), q) == 1:
-                raw.add((a, b, c, q))
-    out = set()
-    for a, b, c, q in raw:
+        g = gcd(a, b, c)
+        modulus = g if kind == "Y" else gcd(a, c)
+        # a triple and its partner share g and modulus, so their residues too
         best = min((a, b, c), _partner(kind, (a, b, c)))
-        out.add(best + (q,))
+        out.update(best + (q,) for q in range(modulus) if gcd(g, q) == 1)
     return sorted(out)

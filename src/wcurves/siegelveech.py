@@ -10,6 +10,7 @@ package outside the standard library.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from functools import lru_cache
 
 from .euler import _chis
@@ -177,8 +178,6 @@ def unfolding_area(D: int) -> QuadNum:
 
 # Guard digits of the first fixed-point pass of _round_pi_times.
 _GUARD = 10
-# _decimal converts in blocks of 500 digits.
-_BLOCK = 10**500
 
 
 def _arccot(x: int, unity: int) -> int:
@@ -236,7 +235,7 @@ def _round_pi_times(v: QuadNum, digits: int, guard: int = _GUARD) -> tuple[int, 
         P = digits + guard
         scale = 10**P
         A = _pi_scaled(P) * (x * scale + y * math.isqrt(D * scale * scale)) // (z * scale)
-        n = len(_decimal(A)) if A > 0 else 0
+        n = Decimal(A).adjusted() + 1 if A > 0 else 0
         if n > digits:
             u = 10 ** (n - digits)
             m, rem = divmod(A, u)
@@ -248,19 +247,6 @@ def _round_pi_times(v: QuadNum, digits: int, guard: int = _GUARD) -> tuple[int, 
                     m, e = m // 10, e + 1
                 return m, e
         guard = 2 * guard + 1
-
-
-def _decimal(n: int) -> str:
-    """str(n) for n >= 0, made in blocks of 500 digits.
-
-    The interpreter may limit str(int) to as few as 640 digits, and a
-    coefficient may ask for more.
-    """
-    blocks = []
-    while n >= _BLOCK:
-        n, r = divmod(n, _BLOCK)
-        blocks.append(str(r).zfill(500))
-    return str(n) + "".join(reversed(blocks))
 
 
 def _coefficient(c: QuadNum, area: QuadNum, digits: int) -> str:
@@ -275,7 +261,7 @@ def _coefficient(c: QuadNum, area: QuadNum, digits: int) -> str:
     v = c / area
     assert v.sign1() > 0  # a Siegel-Veech constant over an area, both positive
     m, e = _round_pi_times(v, digits)
-    text = _decimal(m)
+    text = str(Decimal(m))  # no str(int) digit limit applies
     if not min(-(digits // 3), -5) < e < digits:
         return f"{text[0]}.{text[1:]}e{e:+d}"
     if e < 0:

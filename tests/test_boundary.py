@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -197,6 +199,15 @@ def test_undetermined_is_not_zero():
     assert UNDETERMINED != 0
     assert not (UNDETERMINED == 0)
     assert repr(UNDETERMINED) == "UNDETERMINED"
+
+
+def test_undetermined_survives_copy_and_pickle():
+    assert copy.copy(UNDETERMINED) is UNDETERMINED
+    assert copy.deepcopy(UNDETERMINED) is UNDETERMINED
+    assert copy.deepcopy([UNDETERMINED])[0] is UNDETERMINED
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(UNDETERMINED, protocol)) is UNDETERMINED
+    assert repr(UNDETERMINED) == str(UNDETERMINED) == "UNDETERMINED"
 
 
 def test_intersect_mixed_discriminants():

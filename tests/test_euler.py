@@ -1,8 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from wcurves.euler import (
+    _chis,
+    _one_cylinder,
     chi_P,
     chi_Q,
     chi_Q_via_rm_prototypes,
@@ -21,8 +24,8 @@ from wcurves.euler import (
     rm_prototypes,
     zeta_minus_one,
 )
-from wcurves.exact import divisors, is_square, mobius, sigma
-from wcurves.prototypes import enumerate_prototypes
+from wcurves.exact import _decompose, divisors, is_square, mobius, sigma
+from wcurves.prototypes import _spin_applies, _spin_split, _w_cusps, enumerate_prototypes
 from wcurves.reference import reference_tuples
 
 
@@ -207,6 +210,33 @@ def test_lyapunov_lambda2():
     assert lyapunov_lambda2("two_simple_zeros") == Fraction(1, 2)
     with pytest.raises(ValueError):
         lyapunov_lambda2("minimal")
+
+
+def test_cusp_moduli_sum_to_minus_twenty_thirds_chi():
+    """lambda_2 = 1/3 on every W_D, in its cusp form, also per spin component.
+
+    Let S sum (a - c)/gcd(a, c) over the W prototypes (a, b, c, q) and 1
+    over the one-cylinder cusps.  By the Eskin-Kontsevich-Zorich formula,
+    with kappa = 2/9 in H(2), Bainbridge's lambda_2 = 1/3 holds exactly
+    when S = -(20/3) chi(W_D).  The prototypes are counted per triple with
+    their n residues, split by spin where W_D splits.
+    """
+    for D in range(5, 601):
+        if D % 4 > 1 or D == 9:
+            continue
+        split = _spin_applies(D)
+        f = _decompose(D)[1] if split else 0
+        s = [0, 0]
+        for a, b, c, n in _w_cusps(D):
+            m = (a - c) // math.gcd(a, c)
+            for eps, k in enumerate(_spin_split(a, b, c, n, f) if split else (n, 0)):
+                s[eps] += k * m
+        ones, ones_split = _one_cylinder(D)
+        chis = _chis(D)
+        assert s[0] + s[1] + ones == Fraction(-20, 3) * chis["W"], D
+        if split:
+            for eps, k in enumerate(ones_split or (0, 0)):
+                assert s[eps] + k == Fraction(-20, 3) * chis[f"W{eps}"], (D, eps)
 
 
 def test_consistency_chain_passes():

@@ -10,7 +10,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from wcurves.boundary import UNDETERMINED, fundamental_class, intersect
+from wcurves.boundary import (
+    _NONSQUARE_PAIRINGS,
+    _SQUARE_PAIRINGS,
+    UNDETERMINED,
+    fundamental_class,
+    intersect,
+)
 
 U = UNDETERMINED
 NAMES = ("W", "P", "W0", "W1", "S1", "S2")
@@ -367,3 +373,21 @@ def test_interleaved_discriminants_match_cold_calls():
     # A cached D does not let an equal non-integer through.
     with pytest.raises(ValueError):
         fundamental_class(16.0, "W")
+
+
+def _sum_rows(table, *pairs):
+    """The coefficient-wise sum of the rows of table named by pairs."""
+    rows = {(g1, g2): coefficients for g1, g2, *coefficients in table}
+    return [sum(column) for column in zip(*(rows[pair] for pair in pairs))]
+
+
+def test_undivided_rows_are_sums_of_spin_rows():
+    # W = W0 + W1 at square D and B = B0 + B1 at nonsquare D, so each row
+    # of the undivided generator is the sum of its spin rows, u included.
+    sq, ns = _SQUARE_PAIRINGS, _NONSQUARE_PAIRINGS
+    for g in ("S1", "S2", "P"):
+        assert _sum_rows(sq, (g, "W")) == _sum_rows(sq, (g, "W0"), (g, "W1")), g
+    spins = (("W0", "W0"), ("W0", "W1"), ("W0", "W1"), ("W1", "W1"))
+    assert _sum_rows(sq, ("W", "W")) == _sum_rows(sq, *spins)
+    spins = (("B0", "B0"), ("B0", "B1"), ("B0", "B1"), ("B1", "B1"))
+    assert _sum_rows(ns, ("B", "B")) == _sum_rows(ns, *spins)
