@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact import (
     _decompose,
@@ -18,7 +17,6 @@ from .exact import (
     _factor,
     _integer,
     _record,
-    _sigma,
     check_discriminant,
     divisors,
     euler_phi,
@@ -28,7 +26,7 @@ from .exact import (
     mobius_weighted_sum,
     sigma,
 )
-from .prototypes import _enumerate, _spin_applies, _w_count
+from .prototypes import _enumerate, _spin_applies, _t_sums
 
 __all__ = [
     "ConsistencyCheck",
@@ -69,17 +67,11 @@ def h2(D: int) -> Fraction:
     return _h2(D)
 
 
-# Two entries hold what one D asks for: h2 of D and of its D0.
-@lru_cache(maxsize=2)
 def _h2(D: int) -> Fraction:
-    """h2 of a checked D."""
+    """h2 of a checked D, from the sigma_1 total of `_t_sums`."""
     if D == 0:
         return Fraction(-1, 120)
-    total = 2 * sum(
-        _sigma(1, (D - e * e) // 4) for e in range(2 - D % 2, math.isqrt(D - 1) + 1, 2)
-    )
-    if D % 2 == 0:
-        total += _sigma(1, D // 4)
+    total = _t_sums(D)[0]
     if is_square(D):
         # -(total - 2/24)/5 - D/10
         return Fraction(1 - 12 * total - 6 * D, 60)
@@ -378,7 +370,7 @@ def euler_report(D: int) -> EulerReport:
         chi_q=chis.get("Q"),
         chi_s=chis.get("S"),
         components=_components(D),
-        cusps_two_cylinder=_w_count(D),
+        cusps_two_cylinder=_t_sums(D)[1],
         cusps_one_cylinder=one_cyl,
         cusps_one_cylinder_spin=one_spin,
     )

@@ -192,16 +192,31 @@ def _w_cusps(D: int):
             yield a, b, c, m if g == 1 else euler_phi(g) * (m // g)
 
 
-def _w_count(D: int) -> int:
-    """The number of kind W prototypes of a checked D, from factorizations only.
+# Two entries hold what one euler_report asks for: the pass of D and of its D0.
+@lru_cache(maxsize=2)
+def _t_sums(D: int) -> tuple[int, int]:
+    """(sigma_1 total, W count) of a checked D >= 1, from one pass over t.
+
+    b runs over b >= 0 with b = D (mod 2) and b^2 < D, and each
+    t = (D - b^2)/4 > 0 is factored once.  The sigma_1 total is the sum
+    of sigma_1(t), each b > 0 counted twice (for +-b): the integer sum
+    that `h2` is made from.  The W count is the number of kind W
+    prototypes of D.
 
     It equals the sum of n over `_w_cusps(D)`, which is its oracle.  For
-    b >= 0 with b = D (mod 2) and t = (D - b^2)/4 > 0, let F(t, b) be the
-    sum over a | t of h(gcd(a, t/a)), where h(m) = phi(g) m/g with
-    g = gcd(m, b): the residue count of `_w_cusps`.  F is multiplicative
-    in t; over p^e || t it takes the factor sum over i = 0..e of
-    h(p^min(i, e - i)), where h(p^k) = p^k if p does not divide b and
-    p^k - p^(k-1) if it does (h(1) = 1), so each e = 1 gives 2.
+    t as above, let F(t, b) be the sum over a | t of h(gcd(a, t/a)),
+    where h(m) = phi(g) m/g with g = gcd(m, b): the residue count of
+    `_w_cusps`.  F is multiplicative in t; over p^e || t it takes the
+    factor sum over i = 0..e of h(p^min(i, e - i)), where h(p^k) = p^k if
+    p does not divide b and p^k - p^(k-1) if it does (h(1) = 1).  With
+    k = e // 2 and pk = p^k that sum is, in closed form,
+
+                    odd e                   even e
+        p | b       2 pk                    pk + pk/p
+        p not | b   2 (p pk - 1)/(p - 1)    pk + 2 (pk - 1)/(p - 1)
+
+    so each e = 1 gives 2.  The same p^e gives sigma_1 the factor
+    (p^(e+1) - 1)/(p - 1).
 
     The triples of +b and -b pair off with the ordered factorizations
     (a, t/a), which all carry the same residue count.  For a < t/a and
@@ -212,30 +227,37 @@ def _w_count(D: int) -> int:
     happens only at square D = d^2, with a = (d - b)/2 and count
     phi(gcd((d - b)/2, b)).  At b = 0 only (a, 0, -t/a) with a < t/a is
     W, so b = 0 adds F(t, 0)/2, less half the count phi(r) of a = t/a = r
-    when t = r^2.  `h2` factors the same t into the shared `_factor`.
+    when t = r^2.
     """
     d = math.isqrt(D)
-    total = 0
+    sigma_total = w_count = 0
     for b in range(D % 2, math.isqrt(D - 1) + 1, 2):
         t = (D - b * b) // 4
-        f = 1
+        s = f = 1
         for p, e in _factor(t):
             if e == 1:
+                s *= p + 1
                 f *= 2
                 continue
-            lost = b % p == 0  # h(p^k) loses p^(k-1)
-            f *= sum(
-                pk - pk // p if lost else pk
-                for pk in (p ** min(i, e - i) for i in range(e + 1))
-            )
+            s *= (p ** (e + 1) - 1) // (p - 1)
+            k, odd = divmod(e, 2)
+            pk = p**k
+            if b % p == 0:
+                f *= 2 * pk if odd else pk + pk // p
+            elif odd:
+                f *= 2 * (p * pk - 1) // (p - 1)
+            else:
+                f *= pk + 2 * (pk - 1) // (p - 1)
         if b == 0:
+            sigma_total += s
             r = math.isqrt(t)
-            total += (f - euler_phi(r) if r * r == t else f) // 2
-        elif d * d == D:
-            total += f - euler_phi(math.gcd((d - b) // 2, b))
+            w_count += (f - euler_phi(r) if r * r == t else f) // 2
         else:
-            total += f
-    return total
+            sigma_total += 2 * s
+            w_count += f
+            if d * d == D:
+                w_count -= euler_phi(math.gcd((d - b) // 2, b))
+    return sigma_total, w_count
 
 
 def _unchecked(kind: str, D: int, a: int, b: int, c: int, q: int) -> Prototype:

@@ -10,6 +10,8 @@ one-cylinder data from `euler`, so these strings hold the output of
 those shared paths fixed.
 """
 
+import hashlib
+
 import pytest
 
 from wcurves.cli import main
@@ -274,4 +276,22 @@ def test_output_is_pinned(capsys, argv, expected):
     assert main(argv.split()) == 0
     captured = capsys.readouterr()
     assert captured.out == expected
+    assert captured.err == ""
+
+
+# sha256 of the stdout of each command, recorded before h2 and the W cusp
+# count were summed in one pass over t = (D - b^2)/4.
+SWEEP_DIGESTS = {
+    "euler --dmin 1 --dmax 3000 --format csv":
+        "2f9e3ea49cc7ceac6012aaff7880e39da348020abdc6371b79a8a0fbf28b4787",
+    "hseries --dmax 5000 --format csv":
+        "14cca5d9ba1337f572ad9a80cc27c92e2f7a74cf3d02b1eb4e06f5c0c21d8880",
+}
+
+
+@pytest.mark.parametrize("argv", list(SWEEP_DIGESTS))
+def test_sweep_output_is_pinned(capsys, argv):
+    assert main(argv.split()) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == SWEEP_DIGESTS[argv]
     assert captured.err == ""

@@ -25,7 +25,13 @@ from wcurves.euler import (
     zeta_minus_one,
 )
 from wcurves.exact import _decompose, divisors, is_square, mobius, sigma
-from wcurves.prototypes import _spin_applies, _spin_split, _w_cusps, enumerate_prototypes
+from wcurves.prototypes import (
+    _spin_applies,
+    _spin_split,
+    _t_sums,
+    _w_cusps,
+    enumerate_prototypes,
+)
 from wcurves.reference import reference_tuples
 
 
@@ -84,6 +90,27 @@ def test_h2_matches_the_sigma_formula():
     for D in range(0, 4001):
         if D % 4 in (0, 1):
             assert h2(D) == _h2_by_sigma(D), D
+
+
+# Every D <= 3000, and D whose t = (D - b^2)/4 carry high prime powers.
+_PASS_DS = [D for D in range(1, 3001) if D % 4 in (0, 1)] + [
+    4 * 2**16, 4 * 2**20, 4 * 3**10 + 1, 4 * 5**7 + 9, 4 * 7**6 + 1,
+    4 * 11**5 + 1, 199993, 200004,
+]
+
+
+def test_one_pass_matches_both_oracles():
+    for D in _PASS_DS:
+        assert _t_sums(D)[1] == sum(n for *_, n in _w_cusps(D)), D
+        assert h2(D) == _h2_by_sigma(D), D
+
+
+@pytest.mark.parametrize("D, misses", [(5, 1), (12, 1), (41, 1), (20, 2), (45, 2), (180, 2)])
+def test_euler_report_makes_one_pass_per_discriminant(D, misses):
+    # The pass of D serves h2 and the W count; a nonfundamental D adds D0's.
+    _t_sums.cache_clear()
+    euler_report(D)
+    assert _t_sums.cache_info().misses == misses
 
 
 def test_h2_at_square_d_matches_cohen():

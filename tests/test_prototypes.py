@@ -8,7 +8,7 @@ from wcurves.exact import QuadNum, is_discriminant
 from wcurves.prototypes import (
     Prototype,
     _enumerate,
-    _w_count,
+    _t_sums,
     _w_cusps,
     canonical,
     enumerate_prototypes,
@@ -401,7 +401,7 @@ _LARGE_DISCS = st.one_of(
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_LARGE_DISCS)
 def test_w_count_matches_the_scan(D):
-    assert _w_count(D) == sum(n for *_, n in _w_cusps(D))
+    assert _t_sums(D)[1] == sum(n for *_, n in _w_cusps(D))
 
 
 def test_enumeration_cache_holds_one_discriminant():

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import wcurves
-from wcurves import euler, exact
+from wcurves import euler, exact, prototypes
 from wcurves.boundary import CohClass, CuspComplex, build_complex, fundamental_class
 from wcurves.euler import consistency_chain, euler_report
 from wcurves.prototypes import Prototype
@@ -146,7 +146,7 @@ def test_importing_the_package_loads_no_dataclass_machinery():
     "cache, bound, fill",
     [
         (exact._factor, exact._FACTOR_CACHE, exact._factor),
-        (euler._h2, 2, euler.h2),
+        (prototypes._t_sums, 2, euler.h2),
     ],
     ids=["factor", "h2"],
 )
