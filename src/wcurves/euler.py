@@ -16,6 +16,7 @@ from .exact import (
     _discriminants,
     _factor,
     _integer,
+    _mobius_ints,
     _record,
     check_discriminant,
     divisors,
@@ -23,7 +24,6 @@ from .exact import (
     is_square,
     kronecker,
     mobius,
-    mobius_weighted_sum,
     sigma,
 )
 from .prototypes import _enumerate, _spin_applies, _t_sums
@@ -71,11 +71,16 @@ def _h2(D: int) -> Fraction:
     """h2 of a checked D, from the sigma_1 total of `_t_sums`."""
     if D == 0:
         return Fraction(-1, 120)
+    return Fraction(*_h2_ints(D))
+
+
+def _h2_ints(D: int) -> tuple[int, int]:
+    """h2 of a checked D >= 1 as an unreduced (numerator, denominator)."""
     total = _t_sums(D)[0]
     if is_square(D):
         # -(total - 2/24)/5 - D/10
-        return Fraction(1 - 12 * total - 6 * D, 60)
-    return Fraction(-total, 5)
+        return 1 - 12 * total - 6 * D, 60
+    return -total, 5
 
 
 def zeta_minus_one(d0: int) -> Fraction:
@@ -104,22 +109,28 @@ def _chis(D: int) -> dict[str, Fraction]:
                 "Q": Fraction(-1, 6), "S": Fraction(-1, 2)}
     d0, d = _decompose(D)
     if d0 == 1:
-        s = mobius_weighted_sum(1, d)
+        # Every chi is q = d^2 s times a polynomial in d, s = num/den.
+        num, den = _mobius_ints(1, d)
+        q = d * d * num
         chis = {
-            "X": Fraction(d**3, 72) * s,
-            "W": -Fraction(d * d * (d - 2), 16) * s,
-            "P": -Fraction(d * d * (5 * d - 6), 144) * s,
-            "Q": -Fraction(d * d * (5 * d - 6), 72) * s,
-            "S": -Fraction(d * d, 12) * s,
+            "X": Fraction(d * q, 72 * den),
+            "W": Fraction(-(d - 2) * q, 16 * den),
+            "P": Fraction(-(5 * d - 6) * q, 144 * den),
+            "Q": Fraction(-(5 * d - 6) * q, 72 * den),
+            "S": Fraction(-q, 12 * den),
         }
         if _spin_applies(D):
-            chis["W0"] = -Fraction(d * d * (d - 1), 32) * s
-            chis["W1"] = -Fraction(d * d * (d - 3), 32) * s
+            chis["W0"] = Fraction(-(d - 1) * q, 32 * den)
+            chis["W1"] = Fraction(-(d - 3) * q, 32 * den)
         return chis
-    x = 2 * d**3 * _zeta_minus_one(d0) * mobius_weighted_sum(d0, d)
-    chis = {"X": x, "W": -Fraction(9, 2) * x, "P": -Fraction(5, 2) * x, "Q": -5 * x}
+    # chi_X = 2 f^3 zeta_K(-1) s = n/m, with zeta_K(-1) = -h2(D0)/12.
+    hn, hd = _h2_ints(d0)
+    num, den = _mobius_ints(d0, d)
+    n, m = -(d**3) * hn * num, 6 * hd * den
+    chis = {"X": Fraction(n, m), "W": Fraction(-9 * n, 2 * m),
+            "P": Fraction(-5 * n, 2 * m), "Q": Fraction(-5 * n, m)}
     if _spin_applies(D):
-        chis["W0"] = chis["W1"] = chis["W"] / 2
+        chis["W0"] = chis["W1"] = Fraction(-9 * n, 4 * m)
     return chis
 
 
@@ -229,16 +240,17 @@ def _one_cylinder(D: int) -> tuple[int | None, tuple[int, int] | None]:
         return 0, None
     if d == 3:
         return None, None
-    s = mobius_weighted_sum(1, d)
-    total = Fraction(d * d, 6) * s - Fraction(euler_phi(d), 2)
-    assert total.denominator == 1 and total >= 0
+    # total = d^2 s/6 - phi(d)/2, s0 = d^2 s/24, s1 = d^2 s/8 - phi(d)/2
+    num, den = _mobius_ints(1, d)
+    q, phi = d * d * num, euler_phi(d)
+    total, r = divmod(q - 3 * den * phi, 6 * den)
+    assert r == 0 and total >= 0
     if not _spin_applies(D):
-        return int(total), None
-    s0 = Fraction(d * d, 24) * s
-    s1 = Fraction(d * d, 8) * s - Fraction(euler_phi(d), 2)
-    assert s0.denominator == 1 and s1.denominator == 1
-    assert 0 <= s0 and 0 <= s1 and s0 + s1 == total
-    return int(total), (int(s0), int(s1))
+        return total, None
+    s0, r0 = divmod(q, 24 * den)
+    s1, r1 = divmod(q - 4 * den * phi, 8 * den)
+    assert r0 == r1 == 0 and 0 <= s0 and 0 <= s1 and s0 + s1 == total
+    return total, (s0, s1)
 
 
 def lyapunov_lambda2(stratum: str) -> Fraction:

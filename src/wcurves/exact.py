@@ -245,11 +245,16 @@ def mobius_weighted_sum(d0: int, n: int) -> Fraction:
     """
     _integer(d0, "mobius_weighted_sum", "d0")
     _integer(n, "mobius_weighted_sum", "n", 1)
+    return Fraction(*_mobius_ints(d0, n))
+
+
+def _mobius_ints(d0: int, n: int) -> tuple[int, int]:
+    """mobius_weighted_sum of checked arguments as an unreduced (num, den)."""
     num = den = 1
     for p, _ in _factor(n):
         num *= p * p - _kronecker_prime(d0, p)
         den *= p * p
-    return Fraction(num, den)
+    return num, den
 
 
 def _scalar(k) -> tuple[int, int]:

@@ -210,22 +210,23 @@ def _check_ledger(D: int):
     fc = functools.partial(boundary.fundamental_class, D)
     pair = boundary.intersect
     split = _spin_applies(D)
-    yield "ledger_w_squared", pair(fc("W"), fc("W")) == euler.chi_W(D) / 3
-    yield "ledger_p_squared", pair(fc("P"), fc("P")) == euler.chi_P(D)
+    chis = euler._chis(D)
+    yield "ledger_w_squared", pair(fc("W"), fc("W")) == chis["W"] / 3
+    yield "ledger_p_squared", pair(fc("P"), fc("P")) == chis["P"]
     if not square:
         yield "ledger_w_dot_p", pair(fc("W"), fc("P")) == 0
         if split:
             yield "ledger_w1_dot_p", pair(fc("W1"), fc("P")) == 0
     else:
         d = math.isqrt(D)
-        one = euler.one_cylinder_cusps(d)
-        yield "ledger_s1_dot_w", pair(fc("S1"), fc("W")) == one[0]
+        one, spins = euler._one_cylinder(D)
+        yield "ledger_s1_dot_w", pair(fc("S1"), fc("W")) == one
         yield "ledger_w_dot_s2", pair(fc("W"), fc("S2")) == 0
-        yield "ledger_s_squared", pair(fc("S1"), fc("S1")) == euler.chi_S(D)
+        yield "ledger_s_squared", pair(fc("S1"), fc("S1")) == chis["S"]
         yield "ledger_s1_dot_s2", pair(fc("S1"), fc("S2")) == Fraction(euler.euler_phi(d), 2)
         if split:
-            yield "ledger_s1_dot_w0", pair(fc("S1"), fc("W0")) == one[1]
-            yield "ledger_s1_dot_w1", pair(fc("S1"), fc("W1")) == one[2]
+            yield "ledger_s1_dot_w0", pair(fc("S1"), fc("W0")) == spins[0]
+            yield "ledger_s1_dot_w1", pair(fc("S1"), fc("W1")) == spins[1]
             yield "ledger_w0_dot_s2", pair(fc("W0"), fc("S2")) == 0
     if split:
         yield "ledger_w0_dot_p", pair(fc("W0"), fc("P")) == 0

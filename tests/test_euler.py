@@ -24,7 +24,16 @@ from wcurves.euler import (
     rm_prototypes,
     zeta_minus_one,
 )
-from wcurves.exact import _decompose, divisors, is_square, mobius, sigma
+from wcurves.exact import (
+    _decompose,
+    decompose_discriminant,
+    divisors,
+    euler_phi,
+    is_square,
+    mobius,
+    mobius_weighted_sum,
+    sigma,
+)
 from wcurves.prototypes import (
     _spin_applies,
     _spin_split,
@@ -181,6 +190,56 @@ def test_chi_s():
     assert chi_S(25) == -2
     with pytest.raises(ValueError):
         chi_S(5)  # square discriminants only
+
+
+def _chis_by_formula(D):
+    """README's chi table in public Fraction arithmetic, with its literal rows."""
+    if D == 1:
+        return {"X": Fraction(1, 36), "W": Fraction(0)}
+    if D == 4:
+        return {"X": Fraction(1, 6), "W": Fraction(0), "P": Fraction(-1, 6),
+                "Q": Fraction(-1, 6), "S": Fraction(-1, 2)}
+    d0, f = decompose_discriminant(D)
+    split = D % 8 == 1 and D > 9
+    if d0 == 1:
+        d, s = f, mobius_weighted_sum(1, f)
+        chis = {
+            "X": d**3 * s / 72,
+            "W": -d * d * (d - 2) * s / 16,
+            "P": -d * d * (5 * d - 6) * s / 144,
+            "Q": -d * d * (5 * d - 6) * s / 72,
+            "S": -d * d * s / 12,
+        }
+        if split:
+            chis["W0"] = -d * d * (d - 1) * s / 32
+            chis["W1"] = -d * d * (d - 3) * s / 32
+        return chis
+    x = 2 * f**3 * zeta_minus_one(d0) * mobius_weighted_sum(d0, f)
+    chis = {"X": x, "W": -Fraction(9, 2) * x, "P": -Fraction(5, 2) * x, "Q": -5 * x}
+    if split:
+        chis["W0"] = chis["W1"] = chis["W"] / 2
+    return chis
+
+
+def test_chis_match_the_readme_formulas():
+    # Class-exact, in key order: every D <= 5000 and three large D, one square.
+    for D in [D for D in range(1, 5001) if D % 4 in (0, 1)] + [199809, 200004, 200017]:
+        got, want = _chis(D), _chis_by_formula(D)
+        assert list(got) == list(want), D
+        for k, v in want.items():
+            assert type(got[k]) is Fraction and got[k] == v, (D, k)
+
+
+def test_one_cylinder_matches_its_formula():
+    for d in range(4, 401):
+        s, half_phi = mobius_weighted_sum(1, d), Fraction(euler_phi(d), 2)
+        want = [d * d * s / 6 - half_phi]
+        if d % 2:
+            want += [d * d * s / 24, d * d * s / 8 - half_phi]
+        assert all(w.denominator == 1 for w in want), d
+        total, split = _one_cylinder(d * d)
+        got = [total, *(split or ())]
+        assert all(type(g) is int for g in got) and got == want, d
 
 
 def test_psi():
