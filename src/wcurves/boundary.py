@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .euler import _chis, _one_cylinder
+from .euler import _chis
 from .exact import (
     _decompose,
     _is_name,
@@ -184,9 +184,10 @@ def build_complex(D: int) -> CuspComplex:
     s1s2 = None
     if is_square(D):
         s1s2 = euler_phi(math.isqrt(D)) // 2
-        one_total, split = _one_cylinder(D)
+        chis = _chis(D)
+        split = chis["cusps_one_cylinder_spin"]
         one_spins = (0,) * split[0] + (1,) * split[1] if split else None
-        curves.append(CurveNode("S1", None, one_total, 0, one_spins))
+        curves.append(CurveNode("S1", None, chis["cusps_one_cylinder"], 0, one_spins))
         curves.append(CurveNode("S2", None, 0, 0, None))
     return CuspComplex(D, tuple(curves), tuple(junctions), s1s2)
 
@@ -293,7 +294,7 @@ def _ledger(D: int):
         classes["S1"] = CohClass(D, 6 * inv, Fraction(0), (("S1", one),))
         classes["S2"] = CohClass(D, Fraction(0), 6 * inv, (("S2", one),))
 
-    chi = _chis(D)["X"]
+    chi = _chis(D)["chi_x"]
     if square:
         s, half_phi = mobius_weighted_sum(1, d), Fraction(euler_phi(d), 2)
         rows = [

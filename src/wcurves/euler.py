@@ -1,9 +1,16 @@
 """Euler characteristics, cusp counts and component data.
 
-All values are exact Fractions.  X denotes the ambient modular surface of
-discriminant D, W the union of Weierstrass-tangent boundary curves, P its
-companion locus, Q the orbit closure upstairs, S1 and S2 the two extra
-fibered curves that appear when D = d^2 is square.
+X denotes the ambient modular surface of discriminant D, W the union of
+Weierstrass-tangent boundary curves, P its companion locus, Q the orbit
+closure upstairs, S1 and S2 the two extra fibered curves that appear when
+D = d^2 is square.
+
+`_chis(D)` is the one table of a discriminant: EulerReport's fields from
+chi_x to cusps_one_cylinder_spin, every key always present.  Each chi is
+an exact Fraction, or a pair of them for the spin components; the
+component and one-cylinder cusp counts are ints, or a pair of them for the
+spin split; None marks a value undefined at D.  `euler_report` adds D, its
+conductor decomposition, h2 and the two-cylinder cusp count.
 """
 
 from __future__ import annotations
@@ -96,82 +103,107 @@ def _zeta_minus_one(d0: int) -> Fraction:
     return -_h2(d0) / 12
 
 
-def _chis(D: int) -> dict[str, Fraction]:
-    """Every chi defined at the checked discriminant D, keyed by locus name.
+def _chis(D: int) -> dict:
+    """The Euler table of the checked discriminant D, None where undefined.
 
-    X and W always (W is empty below 5), W0 and W1 where W splits by spin,
-    P and Q for D >= 4, and S (each of S1, S2) for square D with d >= 2.
+    Its keys are the EulerReport fields chi_x to cusps_one_cylinder_spin.
+    W is empty below 5 and splits by spin (chi_w_components) where
+    `_spin_applies`; chi_p and chi_q are defined for D >= 4, and chi_s
+    (each of S1, S2) for square D with d >= 2.  One-cylinder cusps exist
+    only at square D: none for d <= 2, and their count is undefined at
+    d = 3.
     """
-    if D == 1:
-        return {"X": Fraction(1, 36), "W": Fraction(0)}
-    if D == 4:
-        return {"X": Fraction(1, 6), "W": Fraction(0), "P": Fraction(-1, 6),
-                "Q": Fraction(-1, 6), "S": Fraction(-1, 2)}
+    if D < 5:
+        # D = 1 and D = 4, the literal rows.
+        x, p, s = (Fraction(1, 36), None, None) if D == 1 else (
+            Fraction(1, 6), Fraction(-1, 6), Fraction(-1, 2))
+        return {"chi_x": x, "chi_w": Fraction(0), "chi_w_components": None,
+                "chi_p": p, "chi_q": p, "chi_s": s, "components": 0,
+                "cusps_one_cylinder": 0, "cusps_one_cylinder_spin": None}
     d0, d = _decompose(D)
+    split = _spin_applies(D)
     if d0 == 1:
         # Every chi is q = d^2 s times a polynomial in d, s = num/den.
         num, den = _mobius_ints(1, d)
         q = d * d * num
-        chis = {
-            "X": Fraction(d * q, 72 * den),
-            "W": Fraction(-(d - 2) * q, 16 * den),
-            "P": Fraction(-(5 * d - 6) * q, 144 * den),
-            "Q": Fraction(-(5 * d - 6) * q, 72 * den),
-            "S": Fraction(-q, 12 * den),
+        one = spin = None
+        if d > 3:
+            # one = d^2 s/6 - phi(d)/2, s0 = d^2 s/24, s1 = d^2 s/8 - phi(d)/2
+            phi = euler_phi(d)
+            one, r = divmod(q - 3 * den * phi, 6 * den)
+            assert r == 0 and one >= 0
+            if split:
+                s0, r0 = divmod(q, 24 * den)
+                s1, r1 = divmod(q - 4 * den * phi, 8 * den)
+                assert r0 == r1 == 0 and 0 <= s0 and 0 <= s1 and s0 + s1 == one
+                spin = s0, s1
+        return {
+            "chi_x": Fraction(d * q, 72 * den),
+            "chi_w": Fraction(-(d - 2) * q, 16 * den),
+            "chi_w_components": (Fraction(-(d - 1) * q, 32 * den),
+                                 Fraction(-(d - 3) * q, 32 * den)) if split else None,
+            "chi_p": Fraction(-(5 * d - 6) * q, 144 * den),
+            "chi_q": Fraction(-(5 * d - 6) * q, 72 * den),
+            "chi_s": Fraction(-q, 12 * den),
+            "components": 2 if split else 1,
+            "cusps_one_cylinder": one,
+            "cusps_one_cylinder_spin": spin,
         }
-        if _spin_applies(D):
-            chis["W0"] = Fraction(-(d - 1) * q, 32 * den)
-            chis["W1"] = Fraction(-(d - 3) * q, 32 * den)
-        return chis
     # chi_X = 2 f^3 zeta_K(-1) s = n/m, with zeta_K(-1) = -h2(D0)/12.
     hn, hd = _h2_ints(d0)
     num, den = _mobius_ints(d0, d)
     n, m = -(d**3) * hn * num, 6 * hd * den
-    chis = {"X": Fraction(n, m), "W": Fraction(-9 * n, 2 * m),
-            "P": Fraction(-5 * n, 2 * m), "Q": Fraction(-5 * n, m)}
-    if _spin_applies(D):
-        chis["W0"] = chis["W1"] = Fraction(-9 * n, 4 * m)
-    return chis
+    return {
+        "chi_x": Fraction(n, m),
+        "chi_w": Fraction(-9 * n, 2 * m),
+        "chi_w_components": (Fraction(-9 * n, 4 * m),) * 2 if split else None,
+        "chi_p": Fraction(-5 * n, 2 * m),
+        "chi_q": Fraction(-5 * n, m),
+        "chi_s": None,
+        "components": 2 if split else 1,
+        "cusps_one_cylinder": 0,
+        "cusps_one_cylinder_spin": None,
+    }
 
 
 def chi_X(D: int) -> Fraction:
     """Euler characteristic of the modular surface of discriminant D."""
     check_discriminant(D)
-    return _chis(D)["X"]
+    return _chis(D)["chi_x"]
 
 
 def chi_W(D: int) -> Fraction:
     """Euler characteristic of the Weierstrass boundary curve family."""
     check_discriminant(D)
-    return _chis(D)["W"]
+    return _chis(D)["chi_w"]
 
 
 def chi_W_components(D: int) -> tuple[Fraction, Fraction]:
     """(chi of spin 0 part, chi of spin 1 part); needs D = 1 (mod 8), D != 9."""
     check_discriminant(D, minimum=5)
-    chis = _chis(D)
-    if "W0" not in chis:
+    components = _chis(D)["chi_w_components"]
+    if components is None:
         raise ValueError(f"W is connected for D={D}: no spin components")
-    return chis["W0"], chis["W1"]
+    return components
 
 
 def chi_P(D: int) -> Fraction:
     check_discriminant(D, minimum=4)
-    return _chis(D)["P"]
+    return _chis(D)["chi_p"]
 
 
 def chi_Q(D: int) -> Fraction:
     check_discriminant(D, minimum=4)
-    return _chis(D)["Q"]
+    return _chis(D)["chi_q"]
 
 
 def chi_S(D: int) -> Fraction:
     """Euler characteristic of each of S1, S2; square D = d^2, d >= 2."""
     check_discriminant(D, minimum=4)
-    chis = _chis(D)
-    if "S" not in chis:
+    chi = _chis(D)["chi_s"]
+    if chi is None:
         raise ValueError(f"S1 and S2 exist only for square D, got {D}")
-    return chis["S"]
+    return chi
 
 
 def psi(m: int) -> Fraction:
@@ -209,14 +241,7 @@ def chi_Q_via_rm_prototypes(D: int) -> Fraction:
 def num_components(D: int) -> int:
     """Number of connected components of the W locus."""
     check_discriminant(D)
-    return _components(D)
-
-
-def _components(D: int) -> int:
-    """num_components of a checked D."""
-    if D < 5:
-        return 0
-    return 2 if _spin_applies(D) else 1
+    return _chis(D)["components"]
 
 
 def one_cylinder_cusps(d: int) -> tuple[int, int | None, int | None]:
@@ -225,32 +250,8 @@ def one_cylinder_cusps(d: int) -> tuple[int, int | None, int | None]:
     Needs d > 3.  Even d has no spin splitting and returns (total, None, None).
     """
     _integer(d, "one_cylinder_cusps", "d", 4)
-    total, split = _one_cylinder(d * d)
-    return (total, *(split or (None, None)))
-
-
-def _one_cylinder(D: int) -> tuple[int | None, tuple[int, int] | None]:
-    """(one-cylinder cusp count, (spin 0, spin 1) or None) of discriminant D.
-
-    Nonsquare D and D = d^2 with d <= 2 have none; for d = 3 the count is
-    undefined (None).
-    """
-    d = math.isqrt(D)
-    if not is_square(D) or d <= 2:
-        return 0, None
-    if d == 3:
-        return None, None
-    # total = d^2 s/6 - phi(d)/2, s0 = d^2 s/24, s1 = d^2 s/8 - phi(d)/2
-    num, den = _mobius_ints(1, d)
-    q, phi = d * d * num, euler_phi(d)
-    total, r = divmod(q - 3 * den * phi, 6 * den)
-    assert r == 0 and total >= 0
-    if not _spin_applies(D):
-        return total, None
-    s0, r0 = divmod(q, 24 * den)
-    s1, r1 = divmod(q - 4 * den * phi, 8 * den)
-    assert r0 == r1 == 0 and 0 <= s0 and 0 <= s1 and s0 + s1 == total
-    return total, (s0, s1)
+    chis = _chis(d * d)
+    return (chis["cusps_one_cylinder"], *(chis["cusps_one_cylinder_spin"] or (None, None)))
 
 
 def lyapunov_lambda2(stratum: str) -> Fraction:
@@ -281,15 +282,14 @@ def consistency_chain(D: int) -> list[ConsistencyCheck]:
     d0, f = _decompose(D)
     square = d0 == 1
     chi = _chis(D)
+    x, w, p, q = chi["chi_x"], chi["chi_w"], chi["chi_p"], chi["chi_q"]
     if D >= 5 and not square:
         h, rs = _h2(D), divisors(f)
         tables = [chi if r == f else _chis(r * r * d0) for r in rs]
-        x_sum = sum((t["X"] for t in tables), Fraction(0))
-        w_sum = sum((t["W"] for t in tables), Fraction(0))
-        checks.append(ConsistencyCheck("euler_ratio", chi["W"], -Fraction(9, 2) * chi["X"]))
-        checks.append(
-            ConsistencyCheck("chi_additivity", chi["W"], chi["P"] - 2 * chi["X"])
-        )
+        x_sum = sum((t["chi_x"] for t in tables), Fraction(0))
+        w_sum = sum((t["chi_w"] for t in tables), Fraction(0))
+        checks.append(ConsistencyCheck("euler_ratio", w, -Fraction(9, 2) * x))
+        checks.append(ConsistencyCheck("chi_additivity", w, p - 2 * x))
         checks.append(ConsistencyCheck("h_sum_chi_x", x_sum, -h / 6))
         checks.append(ConsistencyCheck("h_sum_chi_w", w_sum, Fraction(3, 4) * h))
         checks.append(
@@ -308,22 +308,17 @@ def consistency_chain(D: int) -> list[ConsistencyCheck]:
             )
         )
     if square and f > 2:
-        checks.append(
-            ConsistencyCheck(
-                "chi_additivity", chi["W"], chi["P"] - chi["S"] - 2 * chi["X"]
-            )
-        )
+        checks.append(ConsistencyCheck("chi_additivity", w, p - chi["chi_s"] - 2 * x))
     if _spin_applies(D):
-        checks.append(ConsistencyCheck("component_sum", chi["W0"] + chi["W1"], chi["W"]))
+        w0, w1 = chi["chi_w_components"]
+        checks.append(ConsistencyCheck("component_sum", w0 + w1, w))
     if D >= 4:
-        checks.append(
-            ConsistencyCheck("rm_route", chi["Q"], chi_Q_via_rm_prototypes(D))
-        )
+        checks.append(ConsistencyCheck("rm_route", q, chi_Q_via_rm_prototypes(D)))
     if D >= 5:
-        checks.append(ConsistencyCheck("q_doubles_p", chi["Q"], 2 * chi["P"]))
+        checks.append(ConsistencyCheck("q_doubles_p", q, 2 * p))
     n_w = len(_enumerate(D, "W"))
     n_p = len(_enumerate(D, "P"))
-    n_term = sum(1 for p in _enumerate(D, "Y") if p.is_terminal) if square else 0
+    n_term = sum(1 for y in _enumerate(D, "Y") if y.is_terminal) if square else 0
     checks.append(ConsistencyCheck("cusp_counts", Fraction(n_p), Fraction(n_w + n_term)))
     return checks
 
@@ -368,23 +363,8 @@ def euler_report(D: int) -> EulerReport:
     """All Euler data of D, checked once here; the body reads unchecked internals."""
     check_discriminant(D)
     d0, f = _decompose(D)
-    chis = _chis(D)
-    one_cyl, one_spin = _one_cylinder(D)
     return EulerReport(
-        D=D,
-        d0=d0,
-        f=f,
-        h=_h2(D),
-        chi_x=chis["X"],
-        chi_w=chis["W"],
-        chi_w_components=(chis["W0"], chis["W1"]) if "W0" in chis else None,
-        chi_p=chis.get("P"),
-        chi_q=chis.get("Q"),
-        chi_s=chis.get("S"),
-        components=_components(D),
-        cusps_two_cylinder=_t_sums(D)[1],
-        cusps_one_cylinder=one_cyl,
-        cusps_one_cylinder_spin=one_spin,
+        D=D, d0=d0, f=f, h=_h2(D), cusps_two_cylinder=_t_sums(D)[1], **_chis(D)
     )
 
 

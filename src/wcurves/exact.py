@@ -151,14 +151,6 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _sigma(m: int, n: int) -> int:
-    """Divisor power sum sigma_m(n) of n >= 1, unchecked."""
-    total = 1
-    for p, e in _factor(n):
-        total *= (p ** (m * (e + 1)) - 1) // (p**m - 1)
-    return total
-
-
 def sigma(m: int, n: int) -> Fraction:
     """Divisor power sum sigma_m(n) for m in {1, 3} and an integer n.
 
@@ -173,7 +165,10 @@ def sigma(m: int, n: int) -> Fraction:
         return Fraction(0)
     if n == 0:
         return Fraction(-1, 24) if m == 1 else Fraction(1, 240)
-    return Fraction(_sigma(m, n))
+    total = 1
+    for p, e in _factor(n):
+        total *= (p ** (m * (e + 1)) - 1) // (p**m - 1)
+    return Fraction(total)
 
 
 def mobius(n: int) -> int:
@@ -443,8 +438,11 @@ class QuadNum:
             return NotImplemented
         base = self if n >= 0 else self.inverse()
         out = _quadnum(self._d, 1, 0, 1)
-        for _ in range(abs(n)):
-            out = out * base
+        # square and multiply, over the bits of |n| from the top
+        for bit in bin(abs(n))[2:]:
+            out = out * out
+            if bit == "1":
+                out = out * base
         return out
 
     def __neg__(self):

@@ -118,15 +118,16 @@ def _constants(D: int) -> tuple[QuadNum, tuple[QuadNum, QuadNum] | None, QuadNum
     """(c, (c0, c1) or None, billiards constant) from one pass over the W cusps.
 
     For split D = 1 (mod 8) the billiards constant is that of the spin of
-    the unfolding prototype; the W0 key marks a split.  D must already be
-    checked as a nonsquare discriminant >= 5.
+    the unfolding prototype; chi_w_components marks a split.  D must
+    already be checked as a nonsquare discriminant >= 5.
     """
     s0, s1 = _v_sums(D)
     chis = _chis(D)
-    constant = (s0 + s1) / (-2 * chis["W"])
-    if "W0" not in chis:
+    constant = (s0 + s1) / (-2 * chis["chi_w"])
+    if chis["chi_w_components"] is None:
         return constant, None, constant
-    components = (s0 / (-2 * chis["W0"]), s1 / (-2 * chis["W1"]))
+    chi0, chi1 = chis["chi_w_components"]
+    components = (s0 / (-2 * chi0), s1 / (-2 * chi1))
     _, f = _decompose(D)
     return constant, components, components[_spin(1, *_unfolding(D), 0, f)]
 

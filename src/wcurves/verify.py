@@ -211,18 +211,18 @@ def _check_ledger(D: int):
     pair = boundary.intersect
     split = _spin_applies(D)
     chis = euler._chis(D)
-    yield "ledger_w_squared", pair(fc("W"), fc("W")) == chis["W"] / 3
-    yield "ledger_p_squared", pair(fc("P"), fc("P")) == chis["P"]
+    yield "ledger_w_squared", pair(fc("W"), fc("W")) == chis["chi_w"] / 3
+    yield "ledger_p_squared", pair(fc("P"), fc("P")) == chis["chi_p"]
     if not square:
         yield "ledger_w_dot_p", pair(fc("W"), fc("P")) == 0
         if split:
             yield "ledger_w1_dot_p", pair(fc("W1"), fc("P")) == 0
     else:
         d = math.isqrt(D)
-        one, spins = euler._one_cylinder(D)
-        yield "ledger_s1_dot_w", pair(fc("S1"), fc("W")) == one
+        spins = chis["cusps_one_cylinder_spin"]
+        yield "ledger_s1_dot_w", pair(fc("S1"), fc("W")) == chis["cusps_one_cylinder"]
         yield "ledger_w_dot_s2", pair(fc("W"), fc("S2")) == 0
-        yield "ledger_s_squared", pair(fc("S1"), fc("S1")) == chis["S"]
+        yield "ledger_s_squared", pair(fc("S1"), fc("S1")) == chis["chi_s"]
         yield "ledger_s1_dot_s2", pair(fc("S1"), fc("S2")) == Fraction(euler.euler_phi(d), 2)
         if split:
             yield "ledger_s1_dot_w0", pair(fc("S1"), fc("W0")) == spins[0]

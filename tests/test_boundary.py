@@ -13,7 +13,7 @@ from wcurves.boundary import (
     fundamental_class,
     intersect,
 )
-from wcurves.euler import chi_P, chi_S, chi_W, one_cylinder_cusps
+from wcurves.euler import chi_P, chi_S, chi_W, euler_report, one_cylinder_cusps
 from wcurves.prototypes import Prototype
 
 
@@ -224,6 +224,17 @@ def test_markers_match_euler_cusp_counts():
         total_p = sum(len(e.p_fiber) for e in cx.junctions)
         assert total_w == len(enumerate_prototypes(D, "W"))
         assert total_p == len(enumerate_prototypes(D, "P"))
+
+
+def test_s1_node_matches_the_euler_report():
+    for d in range(3, 81):
+        D = d * d
+        s1 = next(n for n in build_complex(D).curves if n.id == "S1")
+        report = euler_report(D)
+        assert s1.wcusps == report.cusps_one_cylinder, d
+        split = report.cusps_one_cylinder_spin
+        assert s1.spins == ((0,) * split[0] + (1,) * split[1] if split else None), d
+    assert euler_report(9).cusps_one_cylinder is None
 
 
 # sha256 of json.dumps(build_complex(D).to_json(), sort_keys=True), recorded

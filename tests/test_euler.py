@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from wcurves.euler import (
+    EulerReport,
     _chis,
-    _one_cylinder,
     chi_P,
     chi_Q,
     chi_Q_via_rm_prototypes,
@@ -195,39 +195,45 @@ def test_chi_s():
 def _chis_by_formula(D):
     """README's chi table in public Fraction arithmetic, with its literal rows."""
     if D == 1:
-        return {"X": Fraction(1, 36), "W": Fraction(0)}
+        return {"chi_x": Fraction(1, 36), "chi_w": Fraction(0), "chi_w_components": None,
+                "chi_p": None, "chi_q": None, "chi_s": None}
     if D == 4:
-        return {"X": Fraction(1, 6), "W": Fraction(0), "P": Fraction(-1, 6),
-                "Q": Fraction(-1, 6), "S": Fraction(-1, 2)}
+        return {"chi_x": Fraction(1, 6), "chi_w": Fraction(0), "chi_w_components": None,
+                "chi_p": Fraction(-1, 6), "chi_q": Fraction(-1, 6),
+                "chi_s": Fraction(-1, 2)}
     d0, f = decompose_discriminant(D)
     split = D % 8 == 1 and D > 9
     if d0 == 1:
         d, s = f, mobius_weighted_sum(1, f)
-        chis = {
-            "X": d**3 * s / 72,
-            "W": -d * d * (d - 2) * s / 16,
-            "P": -d * d * (5 * d - 6) * s / 144,
-            "Q": -d * d * (5 * d - 6) * s / 72,
-            "S": -d * d * s / 12,
+        return {
+            "chi_x": d**3 * s / 72,
+            "chi_w": -d * d * (d - 2) * s / 16,
+            "chi_w_components": (-d * d * (d - 1) * s / 32,
+                                 -d * d * (d - 3) * s / 32) if split else None,
+            "chi_p": -d * d * (5 * d - 6) * s / 144,
+            "chi_q": -d * d * (5 * d - 6) * s / 72,
+            "chi_s": -d * d * s / 12,
         }
-        if split:
-            chis["W0"] = -d * d * (d - 1) * s / 32
-            chis["W1"] = -d * d * (d - 3) * s / 32
-        return chis
     x = 2 * f**3 * zeta_minus_one(d0) * mobius_weighted_sum(d0, f)
-    chis = {"X": x, "W": -Fraction(9, 2) * x, "P": -Fraction(5, 2) * x, "Q": -5 * x}
-    if split:
-        chis["W0"] = chis["W1"] = chis["W"] / 2
-    return chis
+    w = -Fraction(9, 2) * x
+    return {"chi_x": x, "chi_w": w, "chi_w_components": (w / 2, w / 2) if split else None,
+            "chi_p": -Fraction(5, 2) * x, "chi_q": -5 * x, "chi_s": None}
+
+
+def _typed(v):
+    """v with each entry paired with its class, so that == is class-exact."""
+    return tuple(map(_typed, v)) if isinstance(v, tuple) else (type(v), v)
 
 
 def test_chis_match_the_readme_formulas():
     # Class-exact, in key order: every D <= 5000 and three large D, one square.
+    keys = [k for k in EulerReport._fields
+            if k not in ("D", "d0", "f", "h", "cusps_two_cylinder")]
     for D in [D for D in range(1, 5001) if D % 4 in (0, 1)] + [199809, 200004, 200017]:
         got, want = _chis(D), _chis_by_formula(D)
-        assert list(got) == list(want), D
+        assert list(got) == keys, D
         for k, v in want.items():
-            assert type(got[k]) is Fraction and got[k] == v, (D, k)
+            assert _typed(got[k]) == _typed(v), (D, k)
 
 
 def test_one_cylinder_matches_its_formula():
@@ -237,8 +243,8 @@ def test_one_cylinder_matches_its_formula():
         if d % 2:
             want += [d * d * s / 24, d * d * s / 8 - half_phi]
         assert all(w.denominator == 1 for w in want), d
-        total, split = _one_cylinder(d * d)
-        got = [total, *(split or ())]
+        chis = _chis(d * d)
+        got = [chis["cusps_one_cylinder"], *(chis["cusps_one_cylinder_spin"] or ())]
         assert all(type(g) is int for g in got) and got == want, d
 
 
@@ -317,12 +323,13 @@ def test_cusp_moduli_sum_to_minus_twenty_thirds_chi():
             m = (a - c) // math.gcd(a, c)
             for eps, k in enumerate(_spin_split(a, b, c, n, f) if split else (n, 0)):
                 s[eps] += k * m
-        ones, ones_split = _one_cylinder(D)
         chis = _chis(D)
-        assert s[0] + s[1] + ones == Fraction(-20, 3) * chis["W"], D
+        ones, ones_split = chis["cusps_one_cylinder"], chis["cusps_one_cylinder_spin"]
+        assert s[0] + s[1] + ones == Fraction(-20, 3) * chis["chi_w"], D
         if split:
             for eps, k in enumerate(ones_split or (0, 0)):
-                assert s[eps] + k == Fraction(-20, 3) * chis[f"W{eps}"], (D, eps)
+                chi = chis["chi_w_components"][eps]
+                assert s[eps] + k == Fraction(-20, 3) * chi, (D, eps)
 
 
 def test_consistency_chain_passes():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wcurves import exact
 from wcurves.exact import (
     QuadNum,
     check_discriminant,
@@ -177,6 +178,26 @@ def test_quadnum_pow():
     assert x ** 0 == 1
     assert x ** 3 == x * x * x
     assert x ** -2 == (x * x).inverse()
+
+
+def test_quadnum_pow_squares_and_multiplies(monkeypatch):
+    # 4096 = 2^12 has 13 bits: at most a squaring and a product per bit.
+    x = QuadNum(5, 1, 1) / 2
+    calls = []
+    build = exact._quadnum
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(exact, "_quadnum", counted)
+    y = x ** 4096
+    assert 0 < len(calls) <= 2 * 13
+    monkeypatch.undo()
+    z = x ** 64
+    for _ in range(6):
+        z = z * z
+    assert y == z and y.disc == 5
 
 
 def test_quadnum_galois_conjugate():
