@@ -322,7 +322,11 @@ def fundamental_class(D: int, name: str) -> CohClass:
 
 
 def intersect(x: CohClass, y: CohClass):
-    """Exact intersection pairing, or UNDETERMINED when not pinned down."""
+    """Exact intersection pairing, or UNDETERMINED when not pinned down.
+
+    Both classes must be of one D, and every boundary generator they name
+    must be one of that D's; otherwise ValueError.
+    """
     if x.D != y.D:
         raise ValueError(f"mixed discriminants {x.D} and {y.D}")
     chi, _, pairings = _ledger(x.D)
@@ -330,7 +334,15 @@ def intersect(x: CohClass, y: CohClass):
     ucoeff = Fraction(0)
     for g1, c1 in x.b:
         for g2, c2 in y.b:
-            const, u = pairings[g1, g2]
+            try:
+                const, u = pairings[g1, g2]
+            except KeyError:
+                gens = sorted({g for g, _ in pairings})
+                bad = g2 if g1 in gens else g1
+                listed = ", ".join(gens)
+                raise ValueError(
+                    f"no generator {bad!r} at D={x.D}; the generators at D={x.D} are {listed}"
+                ) from None
             value += c1 * c2 * const
             ucoeff += c1 * c2 * u
     if ucoeff != 0:

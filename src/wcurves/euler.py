@@ -95,11 +95,6 @@ def zeta_minus_one(d0: int) -> Fraction:
     check_discriminant(d0, minimum=5)
     if _decompose(d0) != (d0, 1):
         raise ValueError(f"{d0} is not a fundamental discriminant of a real field")
-    return _zeta_minus_one(d0)
-
-
-def _zeta_minus_one(d0: int) -> Fraction:
-    """zeta_minus_one of a checked fundamental d0."""
     return -_h2(d0) / 12
 
 
@@ -292,21 +287,9 @@ def consistency_chain(D: int) -> list[ConsistencyCheck]:
         checks.append(ConsistencyCheck("chi_additivity", w, p - 2 * x))
         checks.append(ConsistencyCheck("h_sum_chi_x", x_sum, -h / 6))
         checks.append(ConsistencyCheck("h_sum_chi_w", w_sum, Fraction(3, 4) * h))
-        checks.append(
-            ConsistencyCheck(
-                "h2_sigma3",
-                h,
-                -12
-                * _zeta_minus_one(d0)
-                * sum(
-                    (
-                        Fraction(mobius(r) * kronecker(d0, r) * r) * sigma(3, f // r)
-                        for r in rs
-                    ),
-                    Fraction(0),
-                ),
-            )
-        )
+        # h2(D) = h2(D0) * sum over r | f of mu(r) (D0/r) r sigma_3(f/r)
+        s3 = sum(mobius(r) * kronecker(d0, r) * r * sigma(3, f // r) for r in rs)
+        checks.append(ConsistencyCheck("h2_sigma3", h, _h2(d0) * s3))
     if square and f > 2:
         checks.append(ConsistencyCheck("chi_additivity", w, p - chi["chi_s"] - 2 * x))
     if _spin_applies(D):

@@ -388,19 +388,13 @@ class QuadNum:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, QuadNum):
-            disc = self._common_disc(other)
-            z, w = self._z, other._z
-            return _quadnum(disc, self._x * w - other._x * z, self._y * w - other._y * z, z * w)
-        if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            return _quadnum(self._d, self._x * q - p * self._z, self._y * q, self._z * q)
+        if isinstance(other, (QuadNum, int, Fraction)):
+            return self + -other
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            return _quadnum(self._d, p * self._z - self._x * q, -self._y * q, self._z * q)
+            return -self + other
         return NotImplemented
 
     def __mul__(self, other):

@@ -20,11 +20,11 @@ from fractions import Fraction
 
 from . import boundary, euler, reference, siegelveech
 from .exact import (
+    _decompose,
     _discriminants,
     _is_integer,
     _record,
     check_discriminant,
-    decompose_discriminant,
     is_square,
 )
 from .prototypes import (
@@ -140,7 +140,7 @@ def _check_fibers(D: int):
         back = from_splitting_prototype(*to_splitting_prototype(w))
         yield "splitting_round_trip", back == w, w
     if _spin_applies(D):
-        _, f = decompose_discriminant(D)
+        _, f = _decompose(D)
         for w in ws:
             base = spin(w)
             m = w.modulus

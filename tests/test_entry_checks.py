@@ -240,6 +240,18 @@ UNREACHED = [
         ValueError,
         r"^\(2,-2,-4,0\) violates gcd\(a,b,c,q\) = 1$",
     ),
+    (
+        boundary.intersect,
+        (boundary.fundamental_class(17, "W"), boundary.CohClass(17, 0, 0, (("W0", 1),))),
+        ValueError,
+        "^no generator 'W0' at D=17; the generators at D=17 are B0, B1$",
+    ),
+    (
+        boundary.intersect,
+        (boundary.fundamental_class(16, "W"), boundary.CohClass(16, 0, 0, (("B", 1),))),
+        ValueError,
+        "^no generator 'B' at D=16; the generators at D=16 are P, S1, S2, W$",
+    ),
 ] + [
     (op, args, False if op is operator.eq else TypeError, None)
     for op in (

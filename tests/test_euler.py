@@ -333,9 +333,16 @@ def test_cusp_moduli_sum_to_minus_twenty_thirds_chi():
 
 
 def test_consistency_chain_passes():
-    for D in (5, 8, 9, 12, 16, 17, 25, 45, 49, 100):
-        for check in consistency_chain(D):
+    # 20, 180, 300 and 1025 have conductor f = 2, 6, 5 and 5; at 180 the
+    # composite f has a nonzero Moebius value.
+    h2_sigma3 = {20: Fraction(-22, 5), 180: Fraction(-682, 5), 300: -262, 1025: -1936}
+    for D in (5, 8, 9, 12, 16, 17, 25, 45, 49, 100, 20, 180, 300, 1025):
+        checks = consistency_chain(D)
+        for check in checks:
             assert check.ok, (D, check.name, check.lhs, check.rhs)
+            assert type(check.lhs) is Fraction and type(check.rhs) is Fraction, (D, check)
+        if D in h2_sigma3:
+            assert [c.rhs for c in checks if c.name == "h2_sigma3"] == [h2_sigma3[D]]
 
 
 def test_consistency_chain_names():
