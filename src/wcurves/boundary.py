@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .euler import _chis
 from .exact import (
@@ -110,18 +110,13 @@ class JunctionEdge(_record("JunctionEdge", "prototype m src dst wcusps pcusps"))
 class CuspComplex(_record("CuspComplex", "D curves junctions s1s2_points")):
     """The curves and junctions of D, and the S1.S2 points of square D."""
 
-    # No __slots__: the cached_property below needs an instance __dict__.
-    # It writes there directly, so every attribute assignment can raise.
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot set {name!r}: a CuspComplex is immutable")
-
-    @cached_property
-    def _curves_by_id(self) -> dict[str, CurveNode]:
-        return {node.id: node for node in self.curves}
+    __slots__ = ()
 
     def curve(self, node_id: str) -> CurveNode:
-        return self._curves_by_id[node_id]
+        for node in self.curves:
+            if node.id == node_id:
+                return node
+        raise KeyError(node_id)
 
     def tau(self, node_id: str) -> str:
         """Image of a curve under the orientation-reversing symmetry."""

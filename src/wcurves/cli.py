@@ -108,12 +108,10 @@ def _cmd_hseries(args) -> int:
     rows = euler_mod.h_table(args.dmin, args.dmax)
     if not rows:
         raise ValueError(f"no discriminants in [{args.dmin}, {args.dmax}]")
-    if args.format == "json":
-        text = json.dumps([{"D": D, "h2": str(h)} for D, h in rows], indent=2)
-    elif args.format == "text":
+    if args.format == "text":
         text = "\n".join(f"h2({D}) = {h}" for D, h in rows)
     else:
-        text = _csv([["D", "h2"]] + [[str(D), str(h)] for D, h in rows])
+        text = _render_reports([{"D": D, "h2": str(h)} for D, h in rows], args)
     _emit(text, args.output)
     return 0
 
@@ -253,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--format", choices=["text", "json", "csv"], default="csv")
     add_output(p)
-    p.set_defaults(func=_cmd_hseries)
+    p.set_defaults(func=_cmd_hseries, d=None)
 
     p = sub.add_parser("boundary", help="cusp complex of one discriminant")
     p.add_argument("--d", type=int, required=True)

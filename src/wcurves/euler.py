@@ -214,18 +214,15 @@ def rm_prototypes(D: int) -> list[tuple[int, int, int]]:
     """Triples (e, l, m) with D = e^2 + 4 l^2 m, l, m >= 1, gcd(e, l) = 1."""
     check_discriminant(D, minimum=4)
     out = []
-    l = 1
-    while 4 * l * l <= D:
-        for m in range(1, D // (4 * l * l) + 1):
-            ee = D - 4 * l * l * m
-            r = math.isqrt(ee)
-            if r * r != ee:
-                continue
-            for e in sorted({r, -r}):
-                if math.gcd(e, l) == 1:
-                    out.append((e, l, m))
-        l += 1
-    return sorted(out)
+    r = math.isqrt(D - 4)
+    for e in range(-r, r + 1):
+        n, rem = divmod(D - e * e, 4)
+        if rem:
+            continue
+        for l in range(1, math.isqrt(n) + 1):
+            if n % (l * l) == 0 and math.gcd(e, l) == 1:
+                out.append((e, l, n // (l * l)))
+    return out
 
 
 def chi_Q_via_rm_prototypes(D: int) -> Fraction:

@@ -103,7 +103,7 @@ def _record(name: str, fields: str) -> type:
     Tuple equality alone would make a record equal to a plain tuple, or
     to a record of another class, that holds the same values.  The hash
     stays tuple.__hash__, the hash of the field tuple.  A record class
-    subclasses the result, with __slots__ = () unless it needs a __dict__.
+    subclasses the result, with __slots__ = ().
     """
     eq = tuple.__eq__
 
@@ -253,8 +253,8 @@ def _mobius_ints(d0: int, n: int) -> tuple[int, int]:
 
 
 def _scalar(k) -> tuple[int, int]:
-    """(numerator, denominator) of an int or a Fraction."""
-    if isinstance(k, (int, Fraction)):
+    """(numerator, denominator) of an int or a Fraction; a bool is neither."""
+    if isinstance(k, (int, Fraction)) and not isinstance(k, bool):
         return k.numerator, k.denominator
     raise TypeError(f"expected an int or Fraction, got {type(k).__name__}")
 

@@ -188,7 +188,8 @@ def _check_boundary(D: int):
     )
     for n in cx.curves:
         if n.prototype is not None:
-            yield "tau_closed", cx.tau(n.id) in node_ids, n.id
+            image = boundary._node_id(*t_involution(n.prototype).abcq)
+            yield "tau_closed", image in node_ids, n.id
     if _spin_applies(D):
         square = is_square(D)
         spins = {e.prototype.abcq: [spin(w) for w in e.w_fiber] for e in cx.junctions}

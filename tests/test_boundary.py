@@ -14,7 +14,7 @@ from wcurves.boundary import (
     intersect,
 )
 from wcurves.euler import chi_P, chi_S, chi_W, euler_report, one_cylinder_cusps
-from wcurves.prototypes import Prototype
+from wcurves.prototypes import Prototype, t_involution
 
 
 def test_pentagon_d17():
@@ -68,9 +68,22 @@ def test_tau_symmetry():
     cx25 = build_complex(25)
     assert cx25.tau("S1") == "S2"
     assert cx25.tau("S2") == "S1"
-    # unmarked automorphism: tau permutes the node set
-    ids = {n.id for n in cx25.curves}
-    assert {cx25.tau(i) for i in ids} == ids
+    # unmarked automorphism: tau is an involution on the node set, and on
+    # each curve C_P it is the t-involution of P
+    for D in (17, 25, 20001, 20736):
+        cx = build_complex(D)
+        ids = {n.id for n in cx.curves}
+        images = {i: cx.tau(i) for i in ids}
+        assert set(images.values()) == ids, D
+        assert all(images[images[i]] == i for i in ids), D
+        for n in cx.curves:
+            if n.prototype is not None:
+                t = t_involution(n.prototype)
+                assert images[n.id] == f"C({t.a},{t.b},{t.c},{t.q})", n.id
+        with pytest.raises(KeyError):
+            cx.curve("C(0,0,0,0)")
+        with pytest.raises(KeyError):
+            cx.tau("C(0,0,0,0)")
 
 
 def test_spin_markers_sit_on_curves():

@@ -215,6 +215,7 @@ Q = QuadNum(5, 1, 1)
 UNREACHED = [
     (sigma, (2, 5), ValueError, r"^sigma is implemented for m in \{1, 3\}, got 2$"),
     (QuadNum, (5, "1"), TypeError, "^expected an int or Fraction, got str$"),
+    (QuadNum, (5, True), TypeError, "^expected an int or Fraction, got bool$"),
     (
         multiplicity,
         (Prototype("Y", 16, 1, -4, 0, 0),),

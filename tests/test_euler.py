@@ -263,6 +263,30 @@ def test_rm_prototypes():
     assert chi_Q_via_rm_prototypes(12) == Fraction(-5, 3)
 
 
+def _rm_grid(D):
+    """rm_prototypes by a walk over the (l, m) grid, kept as a reference."""
+    out = []
+    l = 1
+    while 4 * l * l <= D:
+        for m in range(1, D // (4 * l * l) + 1):
+            ee = D - 4 * l * l * m
+            r = math.isqrt(ee)
+            if r * r != ee:
+                continue
+            for e in sorted({r, -r}):
+                if math.gcd(e, l) == 1:
+                    out.append((e, l, m))
+        l += 1
+    return sorted(out)
+
+
+def test_rm_prototypes_match_the_grid_walk():
+    ds = [D for D in range(4, 3001) if D % 4 in (0, 1)]
+    ds += [19881, *(D for D in range(20001, 20010) if D % 4 in (0, 1)), 20736]
+    for D in ds:
+        assert rm_prototypes(D) == _rm_grid(D), D
+
+
 def test_rm_route_agrees():
     for D in [D for D in range(5, 200) if D % 4 in (0, 1)]:
         assert chi_Q(D) == chi_Q_via_rm_prototypes(D), D
