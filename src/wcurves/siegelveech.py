@@ -17,6 +17,7 @@ from .euler import _chis
 from .exact import (
     QuadNum,
     _decompose,
+    _factor,
     _integer,
     _quadnum,
     _record,
@@ -64,7 +65,8 @@ def _check_sv_discriminant(D: int) -> None:
 def v_of_prototype(p: Prototype) -> QuadNum:
     """Cusp contribution (-c/gcd(a,c)) (1 - (a/c) lambda^2) (1 + 1/lambda^2).
 
-    This QuadNum route is the test oracle for the closed form in _v_sums.
+    It heads a chain of test oracles: this QuadNum route checks the scan
+    `_v_sums`, and the scan's rational total checks the t-pass `_v_total`.
     """
     _require_kind(p, "W", "v_of_prototype")
     if not _sv_applies(p.D):  # a kind W D is checked and >= 5, so D is square
@@ -103,6 +105,38 @@ def _v_sums(D: int) -> tuple[QuadNum, QuadNum]:
     return _over_lcm(D, sums[0]), _over_lcm(D, sums[1])
 
 
+def _v_total(D: int) -> QuadNum:
+    """s0 + s1 of `_v_sums` where W does not split, from one pass over t.
+
+    b runs over b >= 0 with b = D (mod 2) and b^2 < D, and each
+    t = (D - b^2)/4 is factored once.  By the pairing of `_t_sums`, the W
+    triples of +-b with b > 0 take each factorization t = a * (t/a) once,
+    v has rational part D (a - c)/(2t gcd(a, c)), and the sqrt(D) parts
+    cancel.  So the total is D times the sum over b > 0 of P(t, b)/t,
+    plus P(t, 0)/(2t) at b = 0, where P(t, b) is the sum over a | t of
+    a h(m)/m, with m = gcd(a, t/a) and h the residue count of `_t_sums`.
+    The b = 0 term of `_t_sums` drops a = t/a = r, but here t = D/4 is
+    not a square, as D is not.  P is multiplicative in t; its factor on
+    p^e || t is sigma_1(p^e) = (p^(e+1) - 1)/(p - 1), or p^(e-1) (p + 1)
+    when p | b and e >= 2.  D must already be checked as a nonsquare >= 5.
+    """
+    sums = {}  # t, or 2t at b = 0 -> [D P(t, b), 0]
+    for b in range(D % 2, math.isqrt(D - 1) + 1, 2):
+        t = (D - b * b) // 4
+        P = 1
+        for p, e in _factor(t):
+            if e == 1:
+                P *= p + 1
+            elif b % p:
+                P *= (p ** (e + 1) - 1) // (p - 1)
+            else:
+                P *= p ** (e - 1) * (p + 1)
+        sums[t if b else 2 * t] = [D * P, 0]
+    total = _over_lcm(D, sums)
+    assert total.sign1() > 0
+    return total
+
+
 def _over_lcm(D: int, sums: dict[int, list[int]]) -> QuadNum:
     """The sum of (x + y sqrt(D))/den over the items den: [x, y] of sums."""
     z = math.lcm(*sums)
@@ -115,17 +149,20 @@ def _over_lcm(D: int, sums: dict[int, list[int]]) -> QuadNum:
 
 
 def _constants(D: int) -> tuple[QuadNum, tuple[QuadNum, QuadNum] | None, QuadNum]:
-    """(c, (c0, c1) or None, billiards constant) from one pass over the W cusps.
+    """(c, (c0, c1) or None, billiards constant) of a checked D.
 
-    For split D = 1 (mod 8) the billiards constant is that of the spin of
-    the unfolding prototype; chi_w_components marks a split.  D must
-    already be checked as a nonsquare discriminant >= 5.
+    chi_w_components marks a split.  Where W does not split, c comes from
+    `_v_total`.  For split D = 1 (mod 8) the spin sums come from one pass
+    over the W cusps, and the billiards constant is that of the spin of
+    the unfolding prototype.  D must already be checked as a nonsquare
+    discriminant >= 5.
     """
-    s0, s1 = _v_sums(D)
     chis = _chis(D)
-    constant = (s0 + s1) / (-2 * chis["chi_w"])
     if chis["chi_w_components"] is None:
+        constant = _v_total(D) / (-2 * chis["chi_w"])
         return constant, None, constant
+    s0, s1 = _v_sums(D)
+    constant = (s0 + s1) / (-2 * chis["chi_w"])
     chi0, chi1 = chis["chi_w_components"]
     components = (s0 / (-2 * chi0), s1 / (-2 * chi1))
     _, f = _decompose(D)

@@ -165,7 +165,10 @@ def _check_sv(D: int):
     c, components, billiards = siegelveech._constants(D)
     yield "sv_positive", c.sign1() > 0 and c.sign2() > 0
     if components is None:
-        yield "sv_rational", c.rad == 0, c
+        # c comes from _v_total, rational by construction: check it by the scan.
+        s0, s1 = siegelveech._v_sums(D)
+        scan = (s0 + s1) / (-2 * euler.chi_W(D))
+        yield "sv_rational", scan.rad == 0 and scan == c, lambda: f"{scan} vs {c}"
     else:
         c0, c1 = components
         yield "sv_conjugacy", c1 == c0.galois_conjugate(), lambda: f"{c0} vs {c1}"

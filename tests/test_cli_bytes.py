@@ -1,10 +1,12 @@
 """Exact CLI output, pinned byte for byte.
 
-The cases cover the sv text format, an undefined one-cylinder count
-(D = 9), the spin split of the one-cylinder cusps (D = 81), the
-boundary text format, the hseries text and json formats, and the verify
-report (per-D lines, the aligned tally table and the summary line) over
-D = 1..12, where the boundary and sv suites stop early.  The euler and sv
+The cases cover the sv formats where W splits (D = 17) and where it
+does not (D = 13, and D = 50020 with a long exact constant), an
+undefined one-cylinder count (D = 9), the spin split of the
+one-cylinder cusps (D = 81), the boundary text format, the hseries
+text and json formats, and the verify report (per-D lines, the aligned
+tally table and the summary line) over D = 1..12, where the boundary and
+sv suites stop early.  The euler and sv
 commands share one renderer, and the boundary complex takes its
 one-cylinder data from `euler`, so these strings hold the output of
 those shared paths fixed.
@@ -41,6 +43,53 @@ SV_17_JSON = """\
   "area": "17/8 + 1/8*sqrt(17)",
   "coefficient": "10.34305960"
 }
+"""
+
+SV_13_TEXT = """\
+D = 13
+c = 91/9
+c0 = -
+c1 = -
+billiards = 91/9
+area = 13/6 + 1/6*sqrt(13)
+coefficient = 11.47748432
+"""
+
+SV_13_CSV = """\
+D,c,c0,c1,billiards,area,coefficient
+13,91/9,,,91/9,13/6 + 1/6*sqrt(13),11.47748432
+"""
+
+SV_13_JSON = """\
+{
+  "D": 13,
+  "c": "91/9",
+  "c0": null,
+  "c1": null,
+  "billiards": "91/9",
+  "area": "13/6 + 1/6*sqrt(13)",
+  "coefficient": "11.47748432"
+}
+"""
+
+# c and billiards of D = 50020: a 187-digit numerator over a 186-digit denominator.
+C_50020 = (
+    "1544450368653290772381617150824435712326860649375051086930990278"
+    "7281000043610195605279260582881641822889904560397119708753657549"
+    "82405497970728587778581728247929045182412060578032575517329"
+    "/1549360707097753195213607976430148206546429067136429247852884553"
+    "9089060549504200456972006163172638646229105213745901285151772414"
+    "0085206759792288137471154892728172143757329498026915472855"
+)
+
+SV_50020_TEXT = f"""\
+D = 50020
+c = {C_50020}
+c0 = -
+c1 = -
+billiards = {C_50020}
+area = 2
+coefficient = 15.658180531388352628
 """
 
 EULER_9_TEXT = """\
@@ -261,6 +310,10 @@ verified 6 discriminants: 223 checks passed, 0 failed
         ("sv --d 17 --digits 10", SV_17_TEXT),
         ("sv --d 17 --digits 10 --format csv", SV_17_CSV),
         ("sv --d 17 --digits 10 --format json", SV_17_JSON),
+        ("sv --d 13 --digits 10", SV_13_TEXT),
+        ("sv --d 13 --digits 10 --format csv", SV_13_CSV),
+        ("sv --d 13 --digits 10 --format json", SV_13_JSON),
+        ("sv --d 50020 --digits 20", SV_50020_TEXT),
         ("euler --d 9", EULER_9_TEXT),
         ("euler --d 9 --format csv", EULER_9_CSV),
         ("euler --d 81", EULER_81_TEXT),

@@ -16,6 +16,7 @@ from wcurves.prototypes import (
 from wcurves.euler import chi_W, chi_W_components
 from wcurves.siegelveech import (
     _v_sums,
+    _v_total,
     billiards_coefficient,
     billiards_constant,
     sv_constant,
@@ -206,3 +207,13 @@ def test_closed_form_matches_quadnum_oracle_at_large_d():
     for D in (50033, 50021, 50020):
         assert len({-2 * a * c * math.gcd(a, c) for a, b, c, n in _w_cusps(D)}) > 100
         assert _v_sums(D) == tuple(_oracle(D)), D
+
+
+def test_t_pass_total_matches_triple_scan():
+    # Split D too, where sv_report keeps the scan.  Beyond 4000: nonsplit
+    # odd 45141, nonsplit even 47928 and 50020, split 50033 and 200017.
+    for D in [*range(5, 4001), 45141, 47928, 50020, 50033, 200017]:
+        if D % 4 not in (0, 1) or is_square(D):
+            continue
+        s0, s1 = _v_sums(D)
+        assert _v_total(D) == s0 + s1, D

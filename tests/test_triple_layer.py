@@ -181,6 +181,16 @@ def test_euler_report_makes_no_triple_scan():
     assert _triples.cache_info().misses == 0
 
 
+def test_sv_report_scans_no_triples_where_w_does_not_split():
+    _triples.cache_clear()
+    for D in [*range(5, 401), 50020, 50021, 200013]:
+        if is_discriminant(D) and _sv_applies(D) and not _spin_applies(D):
+            sv_report(D, digits=10)
+    assert _triples.cache_info().misses == 0
+    sv_report(50033, digits=10)  # split: the spin sums still scan
+    assert _triples.cache_info().misses == 1
+
+
 def test_interleaved_discriminants_match_cold_calls():
     def results(D):
         return (
