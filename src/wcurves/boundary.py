@@ -132,26 +132,26 @@ class CuspComplex(_record("CuspComplex", "D curves junctions s1s2_points")):
             "D": self.D,
             "curves": [
                 {
-                    "id": n.id,
-                    "wcusps": n.wcusps,
-                    "pcusps": n.pcusps,
-                    "spins": list(n.spins) if n.spins is not None else None,
+                    "id": nid,
+                    "wcusps": w,
+                    "pcusps": pc,
+                    "spins": list(spins) if spins is not None else None,
                 }
-                for n in self.curves
+                for nid, _, w, pc, spins in self.curves
             ],
             "junctions": [
                 {
-                    "a": e.prototype.a,
-                    "b": e.prototype.b,
-                    "c": e.prototype.c,
-                    "q": e.prototype.q,
-                    "m": e.m,
-                    "src": e.src,
-                    "dst": e.dst,
-                    "wcusps": e.wcusps,
-                    "pcusps": e.pcusps,
+                    "a": a,
+                    "b": b,
+                    "c": c,
+                    "q": q,
+                    "m": m,
+                    "src": src,
+                    "dst": dst,
+                    "wcusps": w,
+                    "pcusps": pc,
                 }
-                for e in self.junctions
+                for (_, _, a, b, c, q), m, src, dst, w, pc in self.junctions
             ],
             "s1s2_points": self.s1s2_points,
         }
@@ -160,20 +160,31 @@ class CuspComplex(_record("CuspComplex", "D curves junctions s1s2_points")):
 def build_complex(D: int) -> CuspComplex:
     check_discriminant(D, minimum=5)
     f = _decompose(D)[1] if _spin_applies(D) else None
+    protos = _enumerate(D, "Y")
+    # Each curve id is formatted once; a junction's dst is its successor's id.
+    ids = {}
+    for _, _, a, b, c, q in protos:
+        if c < 0:
+            ids[a, b, c, q] = _node_id(a, b, c, q)
     curves, junctions = [], []
-    for p in _enumerate(D, "Y"):
+    for p in protos:
         _, _, a, b, c, q = p
         terminal = a + b + c == 0
         pcusps = math.gcd(a, c) // math.gcd(a, b, c) if c < 0 else 0
         wcusps = 0 if terminal else pcusps
-        src = _node_id(a, b, c, q) if c < 0 else "S1"
+        src = ids[a, b, c, q] if c < 0 else "S1"
         if c < 0:
             spins = None
             if f is not None:
                 s0, s1 = _spin_split(a, b, c, wcusps, f)
                 spins = (0,) * s0 + (1,) * s1
             curves.append(_new(CurveNode, (src, p, wcusps, pcusps, spins)))
-        dst = "S2" if terminal else _node_id(*_next_triple(a, b, c), q)
+        if terminal:
+            dst = "S2"
+        else:
+            key = (*_next_triple(a, b, c), q)
+            # Only a broken successor map misses; verify reports the dangling edge.
+            dst = ids.get(key) or _node_id(*key)
         m = _orbifold_order(a, b, c)
         junctions.append(_new(JunctionEdge, (p, m, src, dst, wcusps, pcusps)))
     s1s2 = None

@@ -21,6 +21,7 @@ lexicographically smaller triple, and enumeration emits canonicals only.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from functools import lru_cache
 
 from .exact import (
@@ -155,12 +156,15 @@ def _triples(D: int) -> tuple[tuple[int, int, int], ...]:
     The scan runs over the b with b^2 <= D and b = D (mod 2), the only b
     with 4 | D - b^2, then over the divisors a <= isqrt(t) of
     t = -ac = (D - b^2)/4, giving (a, b, -t//a) before (t//a, b, -a).
+    The divisor list of each t is found once, at -b, and kept in a dict
+    local to the call for +b, which has the same t.
     For square D = d^2 the degenerate triples (a, -d, 0) have 0 < a < d:
     (d, -d, 0) is both terminal and degenerate, which no kind admits.
     The cache holds one discriminant, so `sv_report`, the cusp complex
     and the three kinds of `_enumerate` share one scan.
     """
     out = []
+    divisors = {}
     d = math.isqrt(D)
     for b in range(-d + (d + D) % 2, d + 1, 2):
         t = (D - b * b) // 4  # t = -a*c >= 0
@@ -168,7 +172,10 @@ def _triples(D: int) -> tuple[tuple[int, int, int], ...]:
             if b < 0:
                 out.extend((a, b, 0) for a in range(1, d))
             continue
-        for a in [a for a in range(1, math.isqrt(t) + 1) if t % a == 0]:
+        divs = divisors.get(t)
+        if divs is None:
+            divs = divisors[t] = [a for a in range(1, math.isqrt(t) + 1) if t % a == 0]
+        for a in divs:
             aa = t // a
             # a <= aa, so (aa, b, -a) has the larger sum a + b + c.
             if a + b <= aa:
@@ -273,20 +280,27 @@ def _enumerate(D: int, kind: str) -> tuple[Prototype, ...]:
     the residues mod the kind's modulus coprime to gcd(a, b, c).  The
     canonical partner of a terminal or degenerate triple is a listed triple
     of the same kind, so a noncanonical one is skipped and no set is kept.
+
+    The prototypes are bucketed by a, and the buckets are joined in order
+    of a, which sorts them with no comparison of tuples.  Inside a bucket
+    they are already sorted: the scan lists b in increasing order, a and b
+    fix c, the scan gives each triple once, and q increases.
     """
     c_top, s_top = _BOUNDS[kind]
-    out = []
+    buckets = defaultdict(list)
     for a, b, c in _triples(D):
         s = a + b + c
         if c < c_top and s < s_top and (s != 0 != c or _canonical_triple(a, b, c) == (a, b, c)):
             m = _kind_modulus(kind, a, b, c)
             if m == 1:
-                out.append((a, b, c, 0))
+                buckets[a].append(_new(Prototype, (kind, D, a, b, c, 0)))
             else:
-                out += [(a, b, c, q) for q in range(m) if math.gcd(a, b, c, q) == 1]
-    out.sort()
-    head = (kind, D)
-    return tuple([_new(Prototype, head + entry) for entry in out])
+                buckets[a] += [
+                    _new(Prototype, (kind, D, a, b, c, q))
+                    for q in range(m)
+                    if math.gcd(a, b, c, q) == 1
+                ]
+    return tuple([p for a in sorted(buckets) for p in buckets[a]])
 
 
 def enumerate_prototypes(D: int, kind: str = "W") -> list[Prototype]:

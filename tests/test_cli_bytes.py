@@ -3,13 +3,13 @@
 The cases cover the sv formats where W splits (D = 17) and where it
 does not (D = 13, and D = 50020 with a long exact constant), an
 undefined one-cylinder count (D = 9), the spin split of the
-one-cylinder cusps (D = 81), the boundary text format, the hseries
-text and json formats, and the verify report (per-D lines, the aligned
-tally table and the summary line) over D = 1..12, where the boundary and
-sv suites stop early.  The euler and sv
-commands share one renderer, and the boundary complex takes its
-one-cylinder data from `euler`, so these strings hold the output of
-those shared paths fixed.
+one-cylinder cusps (D = 81), the boundary text format, the boundary
+text, dot and json formats at large D (D = 20001 and 45141, by digest),
+the hseries text and json formats, and the verify report (per-D lines,
+the aligned tally table and the summary line) over D = 1..12, where the
+boundary and sv suites stop early.  The euler and sv commands share one
+renderer, and the boundary complex takes its one-cylinder data from
+`euler`, so these strings hold the output of those shared paths fixed.
 """
 
 import hashlib
@@ -347,4 +347,24 @@ def test_sweep_output_is_pinned(capsys, argv):
     assert main(argv.split()) == 0
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == SWEEP_DIGESTS[argv]
+    assert captured.err == ""
+
+
+# sha256 of the stdout of each command, recorded before `build_complex`
+# formatted each curve id once and shared it with the junctions.
+BOUNDARY_DIGESTS = {
+    "boundary --d 20001":
+        "c2b9f0904df9225f0d4baa8eb2a7eea1f355a97c2d9fe701d7ca6f7f9cccfb7f",
+    "boundary --d 20001 --format dot":
+        "896adfc08b5b52e1f8658102217a5d14f547750c3f7a81cd8373f6e5d709a00f",
+    "boundary --d 45141 --format json":
+        "59762485bbe764771fd4b48586ac332ab9b6d2d9dc0546ef93de08c8f733c698",
+}
+
+
+@pytest.mark.parametrize("argv", list(BOUNDARY_DIGESTS))
+def test_large_d_boundary_is_pinned(capsys, argv):
+    assert main(argv.split()) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == BOUNDARY_DIGESTS[argv]
     assert captured.err == ""

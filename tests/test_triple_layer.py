@@ -7,10 +7,11 @@ cusps over each junction from its triple alone, enumerating kind Y only.
 These tests rebuild every such Prototype through the validating
 constructor, compare the complex's fibers with a grouping of the W and P
 enumeration by `y_image` and each curve and junction with the record that
-the public maps build, pin the kinds that `build_complex` enumerates,
-pin the scan `_triples` to a brute-force (a, c) grid, pin that
-`euler_report` makes no scan, and pin the one-discriminant caches and the
-construction count.
+the public maps build, pin the kinds that `build_complex` enumerates and
+the curve ids its junctions share, pin the scan `_triples` to a
+brute-force (a, c) grid and the bucket order of `_enumerate` to a sort,
+pin that `euler_report` makes no scan, and pin the one-discriminant
+caches and the construction count.
 """
 
 import math
@@ -38,6 +39,7 @@ from wcurves.prototypes import (
     t_involution,
     y_image,
 )
+from wcurves.reference import reference_tuples
 from wcurves.siegelveech import _sv_applies, sv_report
 
 
@@ -123,6 +125,17 @@ def test_complex_records_match_the_public_maps():
         assert ends == ([("S1", None), ("S2", None)] if is_square(D) else []), D
 
 
+def test_complex_junctions_share_the_curve_ids():
+    for D in (17, 49, 20001, 50033):
+        cx = build_complex(D)
+        ids = {n.id: n.id for n in cx.curves}
+        edges = {e.prototype: e for e in cx.junctions}
+        for e in cx.junctions:
+            assert e.dst == "S2" or ids[e.dst] is e.dst, (D, e)
+        for n in cx.curves:
+            assert n.prototype is None or edges[n.prototype].src is n.id, (D, n)
+
+
 def test_complex_enumerates_kind_y_only(monkeypatch):
     kinds = []
 
@@ -159,6 +172,17 @@ def test_triples_match_the_grid():
     for D in [*range(1, 1501), 19881, 20001, 50020, 50021, 50033]:
         if is_discriminant(D):
             assert list(_triples(D)) == _grid_triples(D), D
+
+
+def test_enumerate_buckets_come_out_sorted():
+    for D in [*range(1, 1501), 19881, 20001, 50020, 50033, 45141]:
+        if not is_discriminant(D):
+            continue
+        for kind in ("Y", "W", "P"):
+            protos = _enumerate(D, kind)
+            assert protos == tuple(sorted(protos)), (D, kind)
+            if D <= 300:
+                assert [p.abcq for p in protos] == reference_tuples(D, kind), (D, kind)
 
 
 def test_triples_cache_holds_one_discriminant():
