@@ -323,12 +323,18 @@ def _require_kind(p: Prototype, kind: str, op: str) -> None:
 
 
 def _next_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """Canonical triple of the successor of a nonterminal kind Y triple."""
+    """Canonical triple of the successor of a nonterminal kind Y triple.
+
+    The successor is already canonical.  Neither branch is degenerate:
+    their c are a + b + c < 0 (the triple is nonterminal) and -a < 0.  The
+    second branch has sum -(4a + 2b + c) < 0, so it is not terminal.  The
+    first has sum 4a + 2b + c, and is terminal when c = -4a - 2b.  Then
+    c <= 0 gives 2a + b >= 0, and its partner (3a + b, -2a - b, -a) starts
+    with 3a + b > a, or equals it when 2a + b = 0.
+    """
     if 4 * a + 2 * b + c <= 0:
-        triple = (a, 2 * a + b, a + b + c)
-    else:
-        triple = (-a - b - c, -2 * a - b, -a)
-    return _canonical_triple(*triple)
+        return (a, 2 * a + b, a + b + c)
+    return (-a - b - c, -2 * a - b, -a)
 
 
 def next_prototype(p: Prototype) -> Prototype:

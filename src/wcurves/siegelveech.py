@@ -66,7 +66,8 @@ def v_of_prototype(p: Prototype) -> QuadNum:
     """Cusp contribution (-c/gcd(a,c)) (1 - (a/c) lambda^2) (1 + 1/lambda^2).
 
     It heads a chain of test oracles: this QuadNum route checks the scan
-    `_v_sums`, and the scan's rational total checks the t-pass `_v_total`.
+    `_v_sums`, and the scan checks the t-pass `_v_tpass`, in total and per
+    spin.
     """
     _require_kind(p, "W", "v_of_prototype")
     if not _sv_applies(p.D):  # a kind W D is checked and >= 5, so D is square
@@ -105,22 +106,45 @@ def _v_sums(D: int) -> tuple[QuadNum, QuadNum]:
     return _over_lcm(D, sums[0]), _over_lcm(D, sums[1])
 
 
-def _v_total(D: int) -> QuadNum:
-    """s0 + s1 of `_v_sums` where W does not split, from one pass over t.
+def _v_tpass(D: int) -> QuadNum:
+    """s0 of `_v_sums`, from one pass over t; s1 is 0 or its conjugate.
 
     b runs over b >= 0 with b = D (mod 2) and b^2 < D, and each
     t = (D - b^2)/4 is factored once.  By the pairing of `_t_sums`, the W
     triples of +-b with b > 0 take each factorization t = a * (t/a) once,
-    v has rational part D (a - c)/(2t gcd(a, c)), and the sqrt(D) parts
-    cancel.  So the total is D times the sum over b > 0 of P(t, b)/t,
-    plus P(t, 0)/(2t) at b = 0, where P(t, b) is the sum over a | t of
-    a h(m)/m, with m = gcd(a, t/a) and h the residue count of `_t_sums`.
-    The b = 0 term of `_t_sums` drops a = t/a = r, but here t = D/4 is
-    not a square, as D is not.  P is multiplicative in t; its factor on
-    p^e || t is sigma_1(p^e) = (p^(e+1) - 1)/(p - 1), or p^(e-1) (p + 1)
-    when p | b and e >= 2.  D must already be checked as a nonsquare >= 5.
+    and both triples of a pair a < t/a have v with rational part
+    D (a - c)/(2t gcd(a, c)) and opposite sqrt(D) parts.  So the total
+    s0 + s1 is D times the sum over b > 0 of P(t, b)/t, plus P(t, 0)/(2t)
+    at b = 0, where P(t, b) is the sum over a | t of a h(m)/m, with
+    m = gcd(a, t/a) and h the residue count of `_t_sums`.  The b = 0 term
+    of `_t_sums` drops a = t/a = r, but here t = D/4 is not a square, as
+    D is not.  P is multiplicative in t; its factor on p^e || t is
+    sigma_1(p^e) = (p^(e+1) - 1)/(p - 1), or p^(e-1) (p + 1) when p | b
+    and e >= 2.  Where W does not split, all of it is s0 and s1 = 0.
+
+    Where W splits (D = 1 mod 8), b and the conductor f are odd and t is
+    even.  By `_spin`, the paired triples of a < t/a have opposite spins
+    unless a and t/a are both even: the parts (+-b - f)/2 differ by the
+    odd b, and of a and t/a exactly one is even.  When both are even, the
+    residues of each triple split evenly.  So each spin takes half of
+    every pair's rational part, s0 and s1 are conjugate, and the two
+    spins have the same number of two-cylinder cusps.  Of a pair, the
+    triple (a, -b, -t/a) has the sqrt(D) part b (t/a - a) h(m)/(2t m) and
+    the other triple its negative; (a, -b, -t/a) has spin 0 when
+    (-b - f)/2 is even and a is odd, or odd and a is even.  So spin 0
+    takes sigma(b) b (e - o) h(m)/(2t m), where o is the odd and e the
+    even one of a and t/a, and sigma(b) = +1 when (-b - f)/2 is even and
+    -1 otherwise: the comparison of a with t/a drops out.  Summed over
+    the odd divisors o of t = 2^k u, u odd, the terms pair o with u/o and
+    give (2^k - 1) P(u, b), where P(u, b) is P(t, b) without its factor
+    2^(k+1) - 1 at p = 2 (2 does not divide b).  So s0 = T/2 + Y sqrt(D),
+    with T the total and Y the sum over b > 0 of
+    sigma(b) b (2^k - 1) P(u, b)/(2t).  D must already be checked as a
+    nonsquare >= 5.
     """
-    sums = {}  # t, or 2t at b = 0 -> [D P(t, b), 0]
+    split = _spin_applies(D)
+    f = _decompose(D)[1] if split else 0
+    sums = {}  # t, or 2t at b = 0 or where W splits -> [x, y] of s0
     for b in range(D % 2, math.isqrt(D - 1) + 1, 2):
         t = (D - b * b) // 4
         P = 1
@@ -131,10 +155,18 @@ def _v_total(D: int) -> QuadNum:
                 P *= (p ** (e + 1) - 1) // (p - 1)
             else:
                 P *= p ** (e - 1) * (p + 1)
-        sums[t if b else 2 * t] = [D * P, 0]
-    total = _over_lcm(D, sums)
-    assert total.sign1() > 0
-    return total
+        if split:
+            k = (t & -t).bit_length() - 1  # 2^k || t; P's factor on it is 2^(k+1) - 1
+            y = b * ((1 << k) - 1) * (P // ((2 << k) - 1))
+            sums[2 * t] = [D * P, y if (b + f) % 4 == 0 else -y]
+        else:
+            sums[t if b else 2 * t] = [D * P, 0]
+    s0 = _over_lcm(D, sums)
+    # s0 is the total where W does not split.  Where it splits, s1 is the
+    # conjugate, positive when s0 is under the second embedding, and then
+    # the total s0 + s1 is positive too.
+    assert s0.sign1() > 0 and (not split or s0.sign2() > 0)
+    return s0
 
 
 def _over_lcm(D: int, sums: dict[int, list[int]]) -> QuadNum:
@@ -151,17 +183,17 @@ def _over_lcm(D: int, sums: dict[int, list[int]]) -> QuadNum:
 def _constants(D: int) -> tuple[QuadNum, tuple[QuadNum, QuadNum] | None, QuadNum]:
     """(c, (c0, c1) or None, billiards constant) of a checked D.
 
-    chi_w_components marks a split.  Where W does not split, c comes from
-    `_v_total`.  For split D = 1 (mod 8) the spin sums come from one pass
-    over the W cusps, and the billiards constant is that of the spin of
-    the unfolding prototype.  D must already be checked as a nonsquare
-    discriminant >= 5.
+    chi_w_components marks a split.  The sums of v, in total and per spin,
+    come from the t-pass `_v_tpass`, which scans no triple; the billiards
+    constant is that of the spin of the unfolding prototype.  D must
+    already be checked as a nonsquare discriminant >= 5.
     """
     chis = _chis(D)
+    s0 = _v_tpass(D)
     if chis["chi_w_components"] is None:
-        constant = _v_total(D) / (-2 * chis["chi_w"])
+        constant = s0 / (-2 * chis["chi_w"])
         return constant, None, constant
-    s0, s1 = _v_sums(D)
+    s1 = s0.galois_conjugate()
     constant = (s0 + s1) / (-2 * chis["chi_w"])
     chi0, chi1 = chis["chi_w_components"]
     components = (s0 / (-2 * chi0), s1 / (-2 * chi1))

@@ -164,14 +164,20 @@ def _check_sv(D: int):
         yield "v_positive", siegelveech.v_of_prototype(w).sign1() > 0, w
     c, components, billiards = siegelveech._constants(D)
     yield "sv_positive", c.sign1() > 0 and c.sign2() > 0
+    # _constants reads the t-pass; the scan of the W triples checks it.
+    s0, s1 = siegelveech._v_sums(D)
     if components is None:
-        # c comes from _v_total, rational by construction: check it by the scan.
-        s0, s1 = siegelveech._v_sums(D)
         scan = (s0 + s1) / (-2 * euler.chi_W(D))
         yield "sv_rational", scan.rad == 0 and scan == c, lambda: f"{scan} vs {c}"
     else:
+        chi0, chi1 = euler.chi_W_components(D)
+        k0, k1 = s0 / (-2 * chi0), s1 / (-2 * chi1)
         c0, c1 = components
-        yield "sv_conjugacy", c1 == c0.galois_conjugate(), lambda: f"{c0} vs {c1}"
+        yield (
+            "sv_conjugacy",
+            k1 == k0.galois_conjugate() and (k0, k1) == components,
+            lambda: f"scan ({k0}, {k1}) vs ({c0}, {c1})",
+        )
         yield "sv_mean", (c0 + c1) / 2 == c
         yield "sv_billiards_pick", billiards in (c0, c1)
 

@@ -16,7 +16,7 @@ from wcurves.prototypes import (
 from wcurves.euler import chi_W, chi_W_components
 from wcurves.siegelveech import (
     _v_sums,
-    _v_total,
+    _v_tpass,
     billiards_coefficient,
     billiards_constant,
     sv_constant,
@@ -210,10 +210,31 @@ def test_closed_form_matches_quadnum_oracle_at_large_d():
 
 
 def test_t_pass_total_matches_triple_scan():
-    # Split D too, where sv_report keeps the scan.  Beyond 4000: nonsplit
-    # odd 45141, nonsplit even 47928 and 50020, split 50033 and 200017.
+    # Beyond 4000: nonsplit odd 45141, nonsplit even 47928 and 50020,
+    # split 50033 and 200017.
     for D in [*range(5, 4001), 45141, 47928, 50020, 50033, 200017]:
         if D % 4 not in (0, 1) or is_square(D):
             continue
         s0, s1 = _v_sums(D)
-        assert _v_total(D) == s0 + s1, D
+        t0 = _v_tpass(D)
+        assert (t0 + t0.galois_conjugate() if D % 8 == 1 else t0) == s0 + s1, D
+
+
+def _split_discriminants(dmax):
+    return [D for D in range(17, dmax + 1, 8) if not is_square(D)]
+
+
+def test_t_pass_spins_match_triple_scan():
+    # Spin 0 from the pass, spin 1 its conjugate.
+    for D in [*_split_discriminants(4000), 50033, 200017, 2000017, 2000033]:
+        s0 = _v_tpass(D)
+        assert (s0, s0.galois_conjugate()) == _v_sums(D), D
+
+
+def test_spins_have_equal_two_cylinder_cusp_counts():
+    # The pairing of _v_tpass: paired W triples have opposite spins, or
+    # both split evenly.
+    for D in _split_discriminants(4000):
+        _, f = decompose_discriminant(D)
+        n0, n1 = map(sum, zip(*(_spin_split(*w, f) for w in _w_cusps(D))))
+        assert n0 == n1, D

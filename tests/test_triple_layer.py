@@ -10,8 +10,9 @@ enumeration by `y_image` and each curve and junction with the record that
 the public maps build, pin the kinds that `build_complex` enumerates and
 the curve ids its junctions share, pin the scan `_triples` to a
 brute-force (a, c) grid and the bucket order of `_enumerate` to a sort,
-pin that `euler_report` makes no scan, and pin the one-discriminant
-caches and the construction count.
+pin that `euler_report` and `sv_report` make no scan and that each
+successor triple is canonical, and pin the one-discriminant caches and
+the construction count.
 """
 
 import math
@@ -26,7 +27,9 @@ from wcurves.euler import euler_report
 from wcurves.exact import is_discriminant, is_square
 from wcurves.prototypes import (
     Prototype,
+    _canonical_triple,
     _enumerate,
+    _next_triple,
     _spin_applies,
     _triples,
     canonical,
@@ -205,14 +208,25 @@ def test_euler_report_makes_no_triple_scan():
     assert _triples.cache_info().misses == 0
 
 
-def test_sv_report_scans_no_triples_where_w_does_not_split():
+def test_sv_report_scans_no_triples():
+    # Every nonsquare D, split D = 1 (mod 8) included: the spin sums come
+    # from the t-pass too.
     _triples.cache_clear()
-    for D in [*range(5, 401), 50020, 50021, 200013]:
-        if is_discriminant(D) and _sv_applies(D) and not _spin_applies(D):
+    for D in [*range(5, 401), 50020, 50021, 50033, 200013, 200017]:
+        if is_discriminant(D) and _sv_applies(D):
             sv_report(D, digits=10)
     assert _triples.cache_info().misses == 0
-    sv_report(50033, digits=10)  # split: the spin sums still scan
-    assert _triples.cache_info().misses == 1
+
+
+def test_successor_triples_are_canonical():
+    # _next_triple returns the successor as computed: no branch can give a
+    # noncanonical triple, so it calls no _canonical_triple.
+    for D in range(1, 1000):
+        if not is_discriminant(D):
+            continue
+        for a, b, c, _ in (p.abcq for p in _enumerate(D, "Y") if not p.is_terminal):
+            nxt = _next_triple(a, b, c)
+            assert nxt == _canonical_triple(*nxt), (D, a, b, c)
 
 
 def test_interleaved_discriminants_match_cold_calls():

@@ -212,6 +212,18 @@ def test_euler_failure_text(monkeypatch):
     assert r.passed == sum(_TALLIES_41.values())
 
 
+@pytest.mark.parametrize("D", [17, 41, 89])
+def test_spin_swap_fails_sv_conjugacy(monkeypatch, D):
+    # The scan's spin split with its two spins swapped; the even split of
+    # a triple whose a and c are even is the same either way.
+    assert verify_discriminant(D).ok
+    split = prototypes._spin_split
+    monkeypatch.setattr(siegelveech, "_spin_split", lambda *args: split(*args)[::-1])
+    r = verify_discriminant(D)
+    c0, c1 = siegelveech.sv_constant_components(D)
+    assert r.failures == (f"sv_conjugacy: scan ({c1}, {c0}) vs ({c0}, {c1})",)
+
+
 def test_raising_suite_is_one_failure(monkeypatch):
     def broken(p):
         raise AssertionError(f"planted at {p}")
