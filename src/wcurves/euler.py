@@ -215,10 +215,8 @@ def rm_prototypes(D: int) -> list[tuple[int, int, int]]:
     check_discriminant(D, minimum=4)
     out = []
     r = math.isqrt(D - 4)
-    for e in range(-r, r + 1):
-        n, rem = divmod(D - e * e, 4)
-        if rem:
-            continue
+    for e in range(-r + (r + D) % 2, r + 1, 2):  # e = D (mod 2): 4 | D - e^2
+        n = (D - e * e) // 4
         for l in range(1, math.isqrt(n) + 1):
             if n % (l * l) == 0 and math.gcd(e, l) == 1:
                 out.append((e, l, n // (l * l)))

@@ -138,11 +138,6 @@ def _canonical_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
     return (a, b, c)
 
 
-def _y_key(a: int, b: int, c: int, q: int) -> tuple[int, int, int, int]:
-    """Junction key of (a, b, c, q): the Y-canonical triple, q mod gcd(a, b, c)."""
-    return (*_canonical_triple(a, b, c), q % math.gcd(a, b, c))
-
-
 def canonical(p: Prototype) -> Prototype:
     """Canonical representative of p under the identification pairing; p if canonical."""
     triple = _canonical_triple(p.a, p.b, p.c)
@@ -160,8 +155,8 @@ def _triples(D: int) -> tuple[tuple[int, int, int], ...]:
     local to the call for +b, which has the same t.
     For square D = d^2 the degenerate triples (a, -d, 0) have 0 < a < d:
     (d, -d, 0) is both terminal and degenerate, which no kind admits.
-    The cache holds one discriminant, so `sv_report`, the cusp complex
-    and the three kinds of `_enumerate` share one scan.
+    The cache holds one discriminant, so the cusp complex and the three
+    kinds of `_enumerate` share one scan; `sv_report` makes none.
     """
     out = []
     divisors = {}
@@ -234,9 +229,10 @@ def _t_sums(D: int) -> tuple[int, int]:
     happens only at square D = d^2, with a = (d - b)/2 and count
     phi(gcd((d - b)/2, b)).  At b = 0 only (a, 0, -t/a) with a < t/a is
     W, so b = 0 adds F(t, 0)/2, less half the count phi(r) of a = t/a = r
-    when t = r^2.
+    when t = D/4 is a square r^2, that is when D = d^2 and r = d/2.
     """
     d = math.isqrt(D)
+    square = d * d == D
     sigma_total = w_count = 0
     for b in range(D % 2, math.isqrt(D - 1) + 1, 2):
         t = (D - b * b) // 4
@@ -257,12 +253,11 @@ def _t_sums(D: int) -> tuple[int, int]:
                 f *= pk + 2 * (pk - 1) // (p - 1)
         if b == 0:
             sigma_total += s
-            r = math.isqrt(t)
-            w_count += (f - euler_phi(r) if r * r == t else f) // 2
+            w_count += (f - euler_phi(d // 2) if square else f) // 2
         else:
             sigma_total += 2 * s
             w_count += f
-            if d * d == D:
+            if square:
                 w_count -= euler_phi(math.gcd((d - b) // 2, b))
     return sigma_total, w_count
 
@@ -346,29 +341,42 @@ def next_prototype(p: Prototype) -> Prototype:
 
 
 def prev_prototype(p: Prototype) -> Prototype:
-    """Predecessor junction prototype.  Undefined on degenerate prototypes."""
+    """Predecessor junction prototype.  Undefined on degenerate prototypes.
+
+    The predecessor is already canonical.  The proof uses only the kind Y
+    bounds, so it holds for a noncanonical p too.  The first branch has sum
+    c < 0, so it is not terminal, and it is degenerate when a - b + c = 0.
+    Then c = b - a and a + b + c = 2b <= 0, so a <= a - b = -c: the triple
+    (a, b - 2a, 0) is the smaller of its pair (a - b, b - 2a, 0).  The
+    second branch has c = -(a - b + c) < 0 and sum -a < 0, so it is
+    neither degenerate nor terminal.
+    """
     _require_kind(p, "Y", "prev_prototype")
     if p.is_degenerate:
         raise ValueError(f"{p} is degenerate and has no predecessor")
     a, b, c, q = p.abcq
     if a - b + c <= 0:
-        triple = (a, -2 * a + b, a - b + c)
-    else:
-        triple = (-c, -b + 2 * c, -a + b - c)
-    return _unchecked("Y", p.D, *_canonical_triple(*triple), q)
+        return _unchecked("Y", p.D, a, -2 * a + b, a - b + c, q)
+    return _unchecked("Y", p.D, -c, -b + 2 * c, -a + b - c, q)
 
 
 def t_involution(p: Prototype) -> Prototype:
-    """Orientation-reversing involution.  Undefined on degenerate prototypes."""
+    """Orientation-reversing involution.  Undefined on degenerate prototypes.
+
+    The image is already canonical, by the kind Y bounds alone.  Neither
+    branch is degenerate: their c are c < 0 and -a < 0.  The second
+    branch has sum -(a - b + c) < 0, so it is not terminal.  The first,
+    (a, -b, c), is terminal when a - b + c = 0.  Then c = b - a and
+    a + b + c = 2b <= 0, so its partner (-c, b, -a) starts with
+    a - b >= a, and equals it when b = 0.
+    """
     _require_kind(p, "Y", "t_involution")
     if p.is_degenerate:
         raise ValueError(f"t_involution is undefined on the degenerate {p}")
     a, b, c, q = p.abcq
     if a - b + c <= 0:
-        triple = (a, -b, c)
-    else:
-        triple = (-c, b, -a)
-    return _unchecked("Y", p.D, *_canonical_triple(*triple), q)
+        return _unchecked("Y", p.D, a, -b, c, q)
+    return _unchecked("Y", p.D, -c, b, -a, q)
 
 
 def multiplicity(p: Prototype) -> int:
@@ -432,10 +440,16 @@ def spin(p: Prototype) -> int:
 
 
 def y_image(p: Prototype) -> Prototype:
-    """Junction below a kind W or P prototype: same triple, q mod gcd(a,b,c)."""
+    """Junction below a kind W or P prototype: same triple, q mod gcd(a,b,c).
+
+    The triple is made Y-canonical: a P prototype built through the public
+    constructor may be a noncanonical terminal triple, such as P(2,-1,-1,0)
+    of D = 9.
+    """
     if p.kind == "Y":
         return p
-    return _unchecked("Y", p.D, *_y_key(*p.abcq))
+    a, b, c, q = p.abcq
+    return _unchecked("Y", p.D, *_canonical_triple(a, b, c), q % math.gcd(a, b, c))
 
 
 def from_splitting_prototype(a: int, b: int, c: int, e: int) -> Prototype:

@@ -281,7 +281,7 @@ def _pi_scaled(P: int) -> int:
     return (16 * _arccot(5, unity) - 4 * _arccot(239, unity)) // 10**g
 
 
-def _round_pi_times(v: QuadNum, digits: int, guard: int = _GUARD) -> tuple[int, int]:
+def _round_pi_times(v: QuadNum, digits: int) -> tuple[int, int]:
     """(m, e) with pi * v = m * 10**(e + 1 - digits) rounded to nearest.
 
     v = (x + y sqrt(D))/z must be positive; 10**(digits - 1) <= m < 10**digits.
@@ -301,6 +301,7 @@ def _round_pi_times(v: QuadNum, digits: int, guard: int = _GUARD) -> tuple[int, 
     """
     x, y, z, D = v._x, v._y, v._z, v._d
     err = (2 * abs(x) + (2 * math.isqrt(D) + 8) * abs(y)) // z + 2
+    guard = _GUARD
     while True:
         P = digits + guard
         scale = 10**P

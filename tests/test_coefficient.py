@@ -51,12 +51,13 @@ def _pi_passes(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("D", [5, 17, 1001, 50017])
 def test_widening_from_a_tiny_guard_gives_the_same_rounding(monkeypatch, D):
     v = siegelveech.billiards_constant(D) / siegelveech.unfolding_area(D)
+    want = {digits: _round_pi_times(v, digits) for digits in (1, 2, 17, 50)}
     passes = _pi_passes(monkeypatch)
-    for digits in (1, 2, 17, 50):
-        want = _round_pi_times(v, digits)
+    for digits, rounded in want.items():
         for guard in (2, 1, 0):
+            monkeypatch.setattr(siegelveech, "_GUARD", guard)
             passes.clear()
-            assert _round_pi_times(v, digits, guard) == want, (digits, guard)
+            assert _round_pi_times(v, digits) == rounded, (digits, guard)
         # With no guard digit, A has about digits + 1 digits and the error
         # bound (at least 2) cannot fit a tenth of the rounding unit.
         assert len(passes) > 1 and passes == sorted(set(passes))
@@ -81,7 +82,8 @@ def test_a_remainder_within_the_error_of_a_half_unit_is_widened(monkeypatch):
     passes = _pi_passes(monkeypatch)
     # At 4 and 8 places the remainder is 499 of 1000 and 4999998 of 10^7,
     # within the error bound 2 of the half unit; 16 places decide it.
-    assert _round_pi_times(NEAR_HALF, 1, guard=1) == (1, -1)
+    monkeypatch.setattr(siegelveech, "_GUARD", 1)
+    assert _round_pi_times(NEAR_HALF, 1) == (1, -1)
     assert passes == [2, 4, 8, 16]
 
 

@@ -11,8 +11,8 @@ the public maps build, pin the kinds that `build_complex` enumerates and
 the curve ids its junctions share, pin the scan `_triples` to a
 brute-force (a, c) grid and the bucket order of `_enumerate` to a sort,
 pin that `euler_report` and `sv_report` make no scan and that each
-successor triple is canonical, and pin the one-discriminant caches and
-the construction count.
+successor, predecessor and t triple is canonical, and pin the
+one-discriminant caches and the construction count.
 """
 
 import math
@@ -227,6 +227,30 @@ def test_successor_triples_are_canonical():
         for a, b, c, _ in (p.abcq for p in _enumerate(D, "Y") if not p.is_terminal):
             nxt = _next_triple(a, b, c)
             assert nxt == _canonical_triple(*nxt), (D, a, b, c)
+
+
+def test_predecessor_and_t_triples_are_canonical():
+    # prev_prototype and t_involution return their triples as computed: by
+    # the kind Y bounds alone no branch gives a noncanonical triple, so the
+    # noncanonical terminal partners that the constructor accepts map to
+    # canonical triples too.
+    partners = 0
+    for D in range(1, 1000):
+        if not is_discriminant(D):
+            continue
+        for p in _enumerate(D, "Y"):
+            if p.is_degenerate:
+                continue
+            starts = [p]
+            a, b, c, q = p.abcq
+            if p.is_terminal and (-c, -b, -a) != (a, b, c):
+                starts.append(Prototype("Y", D, -c, -b, -a, q))
+                partners += 1
+            for x in starts:
+                for image in (prev_prototype(x), t_involution(x)):
+                    triple = image.abcq[:3]
+                    assert triple == _canonical_triple(*triple), (x, image)
+    assert partners > 0
 
 
 def test_interleaved_discriminants_match_cold_calls():

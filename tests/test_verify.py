@@ -181,10 +181,12 @@ def test_per_prototype_failure_text(monkeypatch):
 
 def test_wrong_junction_key_fails(monkeypatch):
     # q mod gcd(a, c) in place of q mod gcd(a, b, c)
-    def wrong(a, b, c, q):
-        return (*prototypes._canonical_triple(a, b, c), q % math.gcd(a, c))
+    def wrong(p):
+        a, b, c, q = p.abcq
+        triple = prototypes._canonical_triple(a, b, c)
+        return prototypes._unchecked("Y", p.D, *triple, q % math.gcd(a, c))
 
-    monkeypatch.setattr(prototypes, "_y_key", wrong)
+    monkeypatch.setattr(verify, "y_image", wrong)
     r = verify_discriminant(17)
     assert not r.ok
     assert any(f.startswith("w_fiber_size") for f in r.failures), r.failures
