@@ -7,10 +7,12 @@ D = d^2 is square.
 
 `_chis(D)` is the one table of a discriminant: EulerReport's fields from
 chi_x to cusps_one_cylinder_spin, every key always present.  Each chi is
-an exact Fraction, or a pair of them for the spin components; the
-component and one-cylinder cusp counts are ints, or a pair of them for the
-spin split; None marks a value undefined at D.  `euler_report` adds D, its
-conductor decomposition, h2 and the two-cylinder cusp count.
+an exact Fraction, or a pair of them for the spin components; at
+nonsquare D each is built from its integer pair in `_chi_ints`, which
+`siegelveech` reads without making a Fraction.  The component and
+one-cylinder cusp counts are ints, or a pair of them for the spin split;
+None marks a value undefined at D.  `euler_report` adds D, its conductor
+decomposition, h2 and the two-cylinder cusp count.
 """
 
 from __future__ import annotations
@@ -144,21 +146,35 @@ def _chis(D: int) -> dict:
             "cusps_one_cylinder": one,
             "cusps_one_cylinder_spin": spin,
         }
-    # chi_X = 2 f^3 zeta_K(-1) s = n/m, with zeta_K(-1) = -h2(D0)/12.
-    hn, hd = _h2_ints(d0)
-    num, den = _mobius_ints(d0, d)
-    n, m = -(d**3) * hn * num, 6 * hd * den
+    x, w, w_spin, p, q = _chi_ints(d0, d)
     return {
-        "chi_x": Fraction(n, m),
-        "chi_w": Fraction(-9 * n, 2 * m),
-        "chi_w_components": (Fraction(-9 * n, 4 * m),) * 2 if split else None,
-        "chi_p": Fraction(-5 * n, 2 * m),
-        "chi_q": Fraction(-5 * n, m),
+        "chi_x": Fraction(*x),
+        "chi_w": Fraction(*w),
+        "chi_w_components": (Fraction(*w_spin),) * 2 if split else None,
+        "chi_p": Fraction(*p),
+        "chi_q": Fraction(*q),
         "chi_s": None,
         "components": 2 if split else 1,
         "cusps_one_cylinder": 0,
         "cusps_one_cylinder_spin": None,
     }
+
+
+def _chi_ints(d0: int, f: int) -> tuple[tuple[int, int], ...]:
+    """(chi_x, chi_w, chi_w of each spin, chi_p, chi_q) at the nonsquare D = f^2 d0.
+
+    Each chi is an unreduced (numerator, denominator) pair with a positive
+    denominator.  chi_X = 2 f^3 zeta_K(-1) s = n/m, with zeta_K(-1) =
+    -h2(d0)/12 and s the Moebius product, and every other chi scales n and
+    m by integers: chi_W = -(9/2) chi_X, each spin of a split W (where
+    `_spin_applies`) has half of chi_W, chi_P = -(5/2) chi_X and chi_Q =
+    2 chi_P.  chi_X > 0 and chi_W < 0.
+    """
+    hn, hd = _h2_ints(d0)
+    num, den = _mobius_ints(d0, f)
+    n, m = -(f**3) * hn * num, 6 * hd * den
+    w = -9 * n, 2 * m
+    return (n, m), w, (w[0], 2 * w[1]), (-5 * n, 2 * m), (-5 * n, m)
 
 
 def chi_X(D: int) -> Fraction:
@@ -204,9 +220,14 @@ def chi_S(D: int) -> Fraction:
 def psi(m: int) -> Fraction:
     """-(m/6) times the product of (1 + 1/p) over primes p | m."""
     _integer(m, "psi", "m", 1)
-    out = Fraction(-m, 6)
-    for p, _ in _factor(m):
-        out *= Fraction(p + 1, p)
+    return Fraction(-_psi_numerator(m), 6)
+
+
+def _psi_numerator(m: int) -> int:
+    """-6 psi(m) for m >= 1: the product of p^(e-1) (p + 1) over p^e || m."""
+    out = 1
+    for p, e in _factor(m):
+        out *= p ** (e - 1) * (p + 1)
     return out
 
 
@@ -225,7 +246,7 @@ def rm_prototypes(D: int) -> list[tuple[int, int, int]]:
 
 def chi_Q_via_rm_prototypes(D: int) -> Fraction:
     """chi(Q) as a sum of psi(m) over the real multiplication prototypes."""
-    return sum((psi(m) for _, _, m in rm_prototypes(D)), Fraction(0))
+    return Fraction(-sum(_psi_numerator(m) for _, _, m in rm_prototypes(D)), 6)
 
 
 def num_components(D: int) -> int:

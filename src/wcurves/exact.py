@@ -5,10 +5,11 @@ integer discriminant disc >= 1 with disc = 0 or 1 (mod 4).  It is held in
 integers as (x + y*sqrt(disc))/z, with z > 0 and gcd(x, y, z) = 1, so each
 value has one form.  An arithmetic result is built from the integers of
 its operands and reduced with one three-argument gcd; no Fraction is made
-on the way.  Its coordinates rat = x/z and rad = y/z, its norm, and the
-other rationals of this module are fractions.Fraction.  Square
-discriminants are allowed: Q[sqrt(d^2)] is isomorphic to Q (+) Q, and it
-has zero divisors.
+on the way.  Its text, str and to_json, is written from the integers too,
+exactly as str of the Fractions x/z and y/z would write it.  Its
+coordinates rat = x/z and rad = y/z, its norm, and the other rationals of
+this module are fractions.Fraction.  Square discriminants are allowed:
+Q[sqrt(d^2)] is isomorphic to Q (+) Q, and it has zero divisors.
 
 The module also owns the input rules that every layer asks.  The integer
 rule (`_is_integer`, and `_integer` that raises) accepts an int that is
@@ -469,23 +470,33 @@ class QuadNum:
         return f"QuadNum(disc={self._d!r}, rat={self.rat!r}, rad={self.rad!r})"
 
     def __str__(self) -> str:
-        rat, rad = self.rat, self.rad
-        if rad == 0:
-            return str(rat)
-        tail = f"{abs(rad)}*sqrt({self._d})"
-        if rat == 0:
-            return tail if rad > 0 else f"-{tail}"
-        sign = "+" if rad > 0 else "-"
-        return f"{rat} {sign} {tail}"
+        x, y, z = self._x, self._y, self._z
+        if y == 0:
+            return _ratio_text(x, z)
+        tail = f"{_ratio_text(abs(y), z)}*sqrt({self._d})"
+        if x == 0:
+            return tail if y > 0 else f"-{tail}"
+        sign = "+" if y > 0 else "-"
+        return f"{_ratio_text(x, z)} {sign} {tail}"
 
     def to_json(self) -> dict:
-        return {"rat": str(self.rat), "rad": str(self.rad), "disc": self._d}
+        z = self._z
+        return {"rat": _ratio_text(self._x, z), "rad": _ratio_text(self._y, z), "disc": self._d}
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuadNum":
         """Read a to_json record as written: disc an int, rat and rad its strings."""
         disc, rat, rad = _json_fields(obj, ("disc", "rat", "rad"), "QuadNum.from_json", only=True)
         return cls(disc, _fraction_text(rat, "rat"), _fraction_text(rad, "rad"))
+
+
+def _ratio_text(n: int, z: int) -> str:
+    """str(Fraction(n, z)) for z > 0, written from the integers with one gcd."""
+    g = math.gcd(n, z)
+    if g != 1:
+        n //= g
+        z //= g
+    return str(n) if z == 1 else f"{n}/{z}"
 
 
 def _json_fields(obj: dict, fields: tuple[str, ...], reader: str, only: bool = False) -> list:

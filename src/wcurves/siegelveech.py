@@ -13,7 +13,7 @@ import math
 from decimal import Decimal
 from functools import lru_cache
 
-from .euler import _chis
+from .euler import _chi_ints
 from .exact import (
     QuadNum,
     _decompose,
@@ -183,22 +183,28 @@ def _over_lcm(D: int, sums: dict[int, list[int]]) -> QuadNum:
 def _constants(D: int) -> tuple[QuadNum, tuple[QuadNum, QuadNum] | None, QuadNum]:
     """(c, (c0, c1) or None, billiards constant) of a checked D.
 
-    chi_w_components marks a split.  The sums of v, in total and per spin,
-    come from the t-pass `_v_tpass`, which scans no triple; the billiards
-    constant is that of the spin of the unfolding prototype.  D must
-    already be checked as a nonsquare discriminant >= 5.
+    Each constant is a sum of v over -2 chi, with chi that of W or of one
+    spin, read as an integer pair from `euler._chi_ints`, so no Fraction
+    is made.  W splits where `_spin_applies`.  The sums of v, in total and
+    per spin, come from the t-pass `_v_tpass`, which scans no triple; the
+    billiards constant is that of the spin of the unfolding prototype.  D
+    must already be checked as a nonsquare discriminant >= 5.
     """
-    chis = _chis(D)
+    d0, f = _decompose(D)
+    _, chi_w, chi_spin, _, _ = _chi_ints(d0, f)
     s0 = _v_tpass(D)
-    if chis["chi_w_components"] is None:
-        constant = s0 / (-2 * chis["chi_w"])
+    if not _spin_applies(D):
+        constant = _per_chi(s0, *chi_w)
         return constant, None, constant
     s1 = s0.galois_conjugate()
-    constant = (s0 + s1) / (-2 * chis["chi_w"])
-    chi0, chi1 = chis["chi_w_components"]
-    components = (s0 / (-2 * chi0), s1 / (-2 * chi1))
-    _, f = _decompose(D)
+    constant = _per_chi(s0 + s1, *chi_w)
+    components = (_per_chi(s0, *chi_spin), _per_chi(s1, *chi_spin))
     return constant, components, components[_spin(1, *_unfolding(D), 0, f)]
+
+
+def _per_chi(s: QuadNum, n: int, m: int) -> QuadNum:
+    """s / (-2 chi) for chi = n/m < 0 with m > 0, as one _quadnum with z > 0."""
+    return _quadnum(s._d, m * s._x, m * s._y, -2 * n * s._z)
 
 
 def sv_constant(D: int) -> QuadNum:

@@ -209,7 +209,12 @@ def _check_boundary(D: int):
             lhs = spins[p.abcq].count(1)
             if square and p.is_terminal:
                 lhs += 1
-            rhs = spins[t_involution(p).abcq].count(0)
+            tp = t_involution(p)
+            image = spins.get(tp.abcq)
+            if image is None:
+                yield "spin_balance", False, lambda: f"{p}: t image {tp} is not a junction"
+                continue
+            rhs = image.count(0)
             yield "spin_balance", lhs == rhs, lambda: f"{p}: {lhs} != {rhs}"
 
 

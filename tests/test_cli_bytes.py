@@ -339,6 +339,9 @@ SWEEP_DIGESTS = {
         "2f9e3ea49cc7ceac6012aaff7880e39da348020abdc6371b79a8a0fbf28b4787",
     "hseries --dmax 5000 --format csv":
         "14cca5d9ba1337f572ad9a80cc27c92e2f7a74cf3d02b1eb4e06f5c0c21d8880",
+    # recorded while QuadNum text still went through Fraction
+    "sv --dmin 5 --dmax 3000 --format csv":
+        "3c5d11efe66807841ac1adfe6963b00d5c91d044e1bb710c47c2f8e0a635a8aa",
 }
 
 

@@ -119,15 +119,19 @@ def test_a_checked_discriminant_builds_each_euler_table_once(monkeypatch):
         return chis(D)
 
     monkeypatch.setattr(euler, "_chis", counted)
-    monkeypatch.setattr(siegelveech, "_chis", counted)
     euler.consistency_chain(45)  # D itself, then r^2 d0 for r = 1; r = 3 is D
     assert sorted(calls) == [5, 45]
     calls.clear()
     euler.consistency_chain(41)
     assert calls == [41]
     calls.clear()
+    # The constants read chi's integer pair once and build no table.
+    assert not hasattr(siegelveech, "_chis")
+    pairs = []
+    chi_ints = siegelveech._chi_ints
+    monkeypatch.setattr(siegelveech, "_chi_ints", lambda *args: pairs.append(args) or chi_ints(*args))
     siegelveech._constants(41)
-    assert calls == [41]
+    assert calls == [] and pairs == [(41, 1)]
 
 
 def _counted_checks(monkeypatch) -> list[str]:

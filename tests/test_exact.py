@@ -273,6 +273,61 @@ _rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 _discs = st.sampled_from([5, 8, 9, 12, 13, 17, 25, 44, 49, 173])
 
 
+def _text_from_fractions(x):
+    """str of x as written from the Fractions rat and rad."""
+    rat, rad = x.rat, x.rad
+    if rad == 0:
+        return str(rat)
+    tail = f"{abs(rad)}*sqrt({x.disc})"
+    if rat == 0:
+        return tail if rad > 0 else f"-{tail}"
+    return f"{rat} {'+' if rad > 0 else '-'} {tail}"
+
+
+def _assert_text_is_the_fractions(x):
+    assert str(x) == _text_from_fractions(x)
+    assert x.to_json() == {"rat": str(x.rat), "rad": str(x.rad), "disc": x.disc}
+    assert QuadNum.from_json(x.to_json()) == x
+
+
+_BIG = 10**40 + 7
+
+
+@pytest.mark.parametrize(
+    "disc, rat, rad",
+    [
+        (5, 0, 0),
+        (5, Fraction(-7, 3), 0),
+        (5, -4, 0),
+        (5, 0, -1),
+        (17, 0, Fraction(3, 8)),
+        (17, Fraction(-221, 24), Fraction(-1, 8)),
+        (17, Fraction(221, 24), Fraction(-1, 8)),
+        (25, Fraction(3, 2), Fraction(-5, 6)),  # a square disc
+        (49, 0, 1),
+        (50020, Fraction(-_BIG, 3 * 10**21), Fraction(12345678901234567890, _BIG)),
+    ],
+)
+def test_quadnum_text_is_the_fraction_text(disc, rat, rad):
+    _assert_text_is_the_fractions(QuadNum(disc, rat, rad))
+
+
+def test_quadnum_text_of_arithmetic_results():
+    # (x + y sqrt(D))/z where z shares a factor with one part only
+    x = QuadNum(5, Fraction(1, 2), Fraction(1, 3))
+    for y in (x * 6, x * 4, x * 9, -x * 10, x - x, x * x, x.inverse(), (x * 6 - 3) * Fraction(-1, 7)):
+        _assert_text_is_the_fractions(y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rationals, _rationals, _rationals, _rationals, _discs)
+def test_quadnum_text_sweep(p, q, r, s, disc):
+    x = QuadNum(disc, p, q)
+    _assert_text_is_the_fractions(x)
+    _assert_text_is_the_fractions(x * QuadNum(disc, r, s))
+    _assert_text_is_the_fractions(x + r)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_rationals, _rationals, _rationals, _rationals, _discs)
 def test_norm_is_multiplicative(p, q, r, s, disc):

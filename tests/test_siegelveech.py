@@ -1,9 +1,14 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from collections import Counter
 
 import pytest
+
+import wcurves
 
 from wcurves.exact import QuadNum, decompose_discriminant, is_discriminant, is_square
 from wcurves.prototypes import (
@@ -15,6 +20,7 @@ from wcurves.prototypes import (
 )
 from wcurves.euler import chi_W, chi_W_components
 from wcurves.siegelveech import (
+    _constants,
     _v_sums,
     _v_tpass,
     billiards_coefficient,
@@ -238,3 +244,64 @@ def test_spins_have_equal_two_cylinder_cusp_counts():
         _, f = decompose_discriminant(D)
         n0, n1 = map(sum, zip(*(_spin_split(*w, f) for w in _w_cusps(D))))
         assert n0 == n1, D
+
+
+def test_constants_are_the_t_pass_over_minus_twice_chi():
+    # _constants divides by chi's integer pair; here the Fraction chi's of
+    # `euler` divide the same t-pass sums.
+    for D in [*range(5, 3001), 50033, 2000017]:
+        if D % 4 not in (0, 1) or is_square(D):
+            continue
+        s0 = _v_tpass(D)
+        constant, components, _ = _constants(D)
+        if D % 8 != 1:
+            assert (constant, components) == (s0 / (-2 * chi_W(D)), None), D
+            continue
+        s1 = s0.galois_conjugate()
+        chi0, chi1 = chi_W_components(D)
+        assert constant == (s0 + s1) / (-2 * chi_W(D)), D
+        assert components == (s0 / (-2 * chi0), s1 / (-2 * chi1)), D
+
+
+_COUNT_FRACTIONS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from fractions import Fraction
+from wcurves.siegelveech import sv_report
+
+made = 0
+new = Fraction.__new__
+
+def counted_new(cls, *args, **kwargs):
+    global made
+    made += 1
+    return new(cls, *args, **kwargs)
+
+Fraction.__new__ = counted_new
+if hasattr(Fraction, "_from_coprime_ints"):
+    # Python 3.12 and later build arithmetic results without __new__.
+    coprime = Fraction._from_coprime_ints.__func__
+
+    def counted_coprime(cls, n, d):
+        global made
+        made += 1
+        return coprime(cls, n, d)
+
+    Fraction._from_coprime_ints = classmethod(counted_coprime)
+for D in map(int, sys.argv[2:]):
+    sv_report(D).to_json()
+print(made)
+str(Fraction(1, 3) + Fraction(1, 6))
+print(made)
+"""
+
+
+def test_sv_report_builds_no_fraction():
+    # In a subprocess: the counters replace Fraction methods for good.
+    src = str(Path(wcurves.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", _COUNT_FRACTIONS, src, "5", "13", "17", "50020"],
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    # The second count shows that the counters see Fraction arithmetic.
+    assert int(out[0]) == 0 and int(out[1]) >= 2, out

@@ -192,6 +192,29 @@ def test_wrong_junction_key_fails(monkeypatch):
     assert any(f.startswith("w_fiber_size") for f in r.failures), r.failures
 
 
+def test_t_image_off_the_junctions_fails_spin_balance(monkeypatch):
+    # t returning the noncanonical partner (-c, b, -a) of a terminal image:
+    # at split D that is no junction key, and spin_balance says which
+    # prototype broke where the boundary suite used to end on a KeyError.
+    t = prototypes.t_involution
+
+    def partner(p):
+        image = t(p)
+        if not image.is_terminal:
+            return image
+        a, b, c, q = image.abcq
+        return prototypes._unchecked("Y", p.D, -c, b, -a, q)
+
+    monkeypatch.setattr(verify, "t_involution", partner)
+    r = verify_discriminant(25)
+    assert not any(f.startswith("boundary:") for f in r.failures), r.failures
+    assert [f for f in r.failures if f.startswith("spin_balance")] == [
+        "spin_balance: Y(1,-3,-4,0): t image Y(4,3,-1,0) is not a junction",
+        "spin_balance: Y(2,-1,-3,0): t image Y(3,1,-2,0) is not a junction",
+    ]
+    assert dict(r.tallies)["spin_balance"] > 0
+
+
 @pytest.mark.parametrize("field, check", [("wcusps", "complex_w_total"), ("pcusps", "complex_p_total")])
 def test_wrong_fiber_count_fails(monkeypatch, field, check):
     # The complex counts its fibers by arithmetic; the check compares them
