@@ -26,6 +26,7 @@ from .exact import (
 )
 from .prototypes import (
     Prototype,
+    _new,
     _require_kind,
     _spin,
     _spin_applies,
@@ -240,16 +241,32 @@ def unfolding_prototype(D: int) -> Prototype:
 
 
 def _area(D: int) -> QuadNum:
-    """1 - lambda^2 / c for the unfolding prototype (1, b, c, 0) of a checked D."""
+    """1 - (a/c) lambda^2 for the unfolding prototype (1, b, c, 0) of a checked D.
+
+    Computed in closed form, (D - b sqrt(D)) / (-2c), as D = b^2 - 4c.
+    """
     b, c = _unfolding(D)
-    lam = _quadnum(D, -b, 1, 2)  # lambda_of: (-b + sqrt(D)) / (2a) with a = 1
-    return 1 - lam * lam / c
+    return _quadnum(D, D, -b, -2 * c)
 
 
 def unfolding_area(D: int) -> QuadNum:
-    """Area factor 1 - (a/c) lambda^2 of the unfolding prototype."""
+    """Area factor 1 - (a/c) lambda^2 of the unfolding prototype (1, b, c, 0).
+
+    Computed in closed form, (D - b sqrt(D)) / (-2c), as D = b^2 - 4c.
+    """
     _check_sv_discriminant(D)
     return _area(D)
+
+
+def _over_area(D: int, c: QuadNum) -> QuadNum:
+    """c / _area(D) for c = (x + y sqrt(D))/z and a checked D, with no division.
+
+    1/area = (D + b sqrt(D)) / (2D), as D = b^2 - 4c; at even D, b = 0 and
+    the quotient is c/2.
+    """
+    b = _unfolding(D)[0]
+    x, y, z = c._x, c._y, c._z
+    return _quadnum(D, D * (x + b * y), b * x + D * y, 2 * D * z)
 
 
 # Guard digits of the first fixed-point pass of _round_pi_times.
@@ -326,16 +343,16 @@ def _round_pi_times(v: QuadNum, digits: int) -> tuple[int, int]:
         guard = 2 * guard + 1
 
 
-def _coefficient(c: QuadNum, area: QuadNum, digits: int) -> str:
-    """pi * c / area to digits significant digits, rounded to nearest.
+def _coefficient(v: QuadNum, digits: int) -> str:
+    """pi * v to digits significant digits, rounded to nearest.
 
-    The text is what mpmath.nstr(value, digits, strip_zeros=False) writes:
+    v is c / area, formed once, in closed form, by `_over_area`.  The text
+    is what mpmath.nstr(value, digits, strip_zeros=False) writes:
     fixed notation when the exponent e of the leading digit has
     min(-(digits // 3), -5) < e < digits, as in 15., and otherwise one
     digit, the point, the other digits and the exponent, as in 1.e+1.
     """
     _integer(digits, "the coefficient", "digits", 1)
-    v = c / area
     assert v.sign1() > 0  # a Siegel-Veech constant over an area, both positive
     m, e = _round_pi_times(v, digits)
     text = str(Decimal(m))  # no str(int) digit limit applies
@@ -347,9 +364,12 @@ def _coefficient(c: QuadNum, area: QuadNum, digits: int) -> str:
 
 
 def billiards_coefficient(D: int, digits: int = 50) -> str:
-    """Decimal value of billiards_constant(D) * pi / unfolding_area(D)."""
+    """Decimal value of billiards_constant(D) * pi / unfolding_area(D).
+
+    The quotient of the constant by the area is formed once, in closed form.
+    """
     _check_sv_discriminant(D)
-    return _coefficient(_constants(D)[2], _area(D), digits)
+    return _coefficient(_over_area(D, _constants(D)[2]), digits)
 
 
 class SvReport(_record("SvReport", "D constant components billiards area coefficient")):
@@ -372,5 +392,5 @@ class SvReport(_record("SvReport", "D constant components billiards area coeffic
 def sv_report(D: int, digits: int = 50) -> SvReport:
     _check_sv_discriminant(D)
     constant, components, billiards = _constants(D)
-    area = _area(D)
-    return SvReport(D, constant, components, billiards, area, _coefficient(billiards, area, digits))
+    coefficient = _coefficient(_over_area(D, billiards), digits)
+    return _new(SvReport, (D, constant, components, billiards, _area(D), coefficient))

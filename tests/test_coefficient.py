@@ -67,7 +67,6 @@ def test_widening_from_a_tiny_guard_gives_the_same_rounding(monkeypatch, D):
 # just below the half unit 0.15 of one significant digit. Only a precision
 # that resolves the seven 9s may round it, and it rounds down.
 NEAR_HALF = QuadNum(5, Fraction(339, 7100))
-ONE = QuadNum(5, 1)
 
 
 @pytest.mark.parametrize(
@@ -75,7 +74,7 @@ ONE = QuadNum(5, 1)
     [(1, "0.1"), (2, "0.15"), (7, "0.1500000"), (8, "0.14999999"), (12, "0.149999987263")],
 )
 def test_a_value_near_a_half_unit_rounds_correctly(digits, text):
-    assert _coefficient(NEAR_HALF, ONE, digits) == text
+    assert _coefficient(NEAR_HALF, digits) == text
 
 
 def test_a_remainder_within_the_error_of_a_half_unit_is_widened(monkeypatch):
@@ -102,7 +101,7 @@ def test_a_remainder_within_the_error_of_a_half_unit_is_widened(monkeypatch):
     ],
 )
 def test_the_notation_follows_nstr(value, digits, text):
-    assert _coefficient(QuadNum(5, value), ONE, digits) == text
+    assert _coefficient(QuadNum(5, value), digits) == text
 
 
 def test_long_outputs_pass_the_int_to_str_limit():

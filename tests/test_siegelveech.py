@@ -16,11 +16,14 @@ from wcurves.prototypes import (
     _spin_split,
     _w_cusps,
     enumerate_prototypes,
+    lambda_of,
     spin,
 )
 from wcurves.euler import chi_W, chi_W_components
 from wcurves.siegelveech import (
+    _area,
     _constants,
+    _over_area,
     _v_sums,
     _v_tpass,
     billiards_coefficient,
@@ -305,3 +308,44 @@ def test_sv_report_builds_no_fraction():
     ).stdout.split()
     # The second count shows that the counters see Fraction arithmetic.
     assert int(out[0]) == 0 and int(out[1]) >= 2, out
+
+
+# Every nonsquare D in 5..5000, and one large D each split (2000017),
+# nonsplit odd (200017) and even (2000016).
+_CLOSED_FORM_DS = [
+    D for D in [*range(5, 5001), 200017, 2000016, 2000017]
+    if D % 4 in (0, 1) and not is_square(D)
+]
+
+
+def test_area_closed_form_is_the_lambda_route():
+    for D in _CLOSED_FORM_DS:
+        p = unfolding_prototype(D)
+        assert _area(D) == 1 - lambda_of(p) ** 2 * p.a / p.c, D
+
+
+def test_over_area_closed_form_is_the_quadnum_division():
+    for D in _CLOSED_FORM_DS:
+        area = unfolding_area(D)
+        constant, components, billiards = _constants(D)
+        for c in (constant, *(components or ()), billiards):
+            assert _over_area(D, c) == c / area, D
+
+
+def test_sv_report_divides_no_quadnum(monkeypatch):
+    calls = Counter()
+    for name in ("__truediv__", "inverse"):
+        method = getattr(QuadNum, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(QuadNum, name, counted)
+    for D in (5, 8, 17, 50017):
+        sv_report(D).to_json()
+    assert not calls, calls
+    # The counters see a division, and the inverse that 1 / x takes.
+    QuadNum(5, 1, 1) / QuadNum(5, 2, 1)
+    1 / QuadNum(5, 2, 1)
+    assert calls == {"__truediv__": 1, "inverse": 1}, calls
