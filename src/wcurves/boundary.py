@@ -44,7 +44,6 @@ from .prototypes import (
     _orbifold_order,
     _spin_applies,
     _spin_split,
-    _unchecked,
     t_involution,
 )
 
@@ -104,7 +103,7 @@ class JunctionEdge(_record("JunctionEdge", "prototype m src dst wcusps pcusps"))
     def _fiber(self, kind: str, n: int) -> tuple[Prototype, ...]:
         p = self.prototype
         g = math.gcd(p.a, p.b, p.c)
-        return tuple(_unchecked(kind, p.D, p.a, p.b, p.c, p.q + k * g) for k in range(n))
+        return tuple(_new(Prototype, (kind, p.D, p.a, p.b, p.c, p.q + k * g)) for k in range(n))
 
 
 class CuspComplex(_record("CuspComplex", "D curves junctions s1s2_points")):

@@ -372,19 +372,22 @@ class QuadNum:
         raise ValueError(f"mixed discriminants {self._d} and {other._d}")
 
     def _times(self, disc: int, u: int, v: int, w: int) -> "QuadNum":
-        """self * (u + v*sqrt(disc))/w, for w > 0."""
+        """self * (u + v*sqrt(disc))/w, for w > 0: the one copy of the product.
+
+        Scalar * and / pass a rational p/q as (p, 0, q) and (q, 0, p).
+        """
         x, y = self._x, self._y
         return _quadnum(disc, x * u + disc * y * v, x * v + y * u, self._z * w)
 
     def __add__(self, other):
         if isinstance(other, QuadNum):
-            disc = self._common_disc(other)
-            z, w = self._z, other._z
-            return _quadnum(disc, self._x * w + other._x * z, self._y * w + other._y * z, z * w)
-        if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            return _quadnum(self._d, self._x * q + p * self._z, self._y * q, self._z * q)
-        return NotImplemented
+            disc, u, v, w = self._common_disc(other), other._x, other._y, other._z
+        elif isinstance(other, (int, Fraction)):
+            disc, u, v, w = self._d, other.numerator, 0, other.denominator
+        else:
+            return NotImplemented
+        x, y, z = self._x, self._y, self._z
+        return _quadnum(disc, x * w + u * z, y * w + v * z, z * w)
 
     __radd__ = __add__
 
@@ -402,8 +405,7 @@ class QuadNum:
         if isinstance(other, QuadNum):
             return self._times(self._common_disc(other), other._x, other._y, other._z)
         if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return _quadnum(self._d, self._x * p, self._y * p, self._z * other.denominator)
+            return self._times(self._d, other.numerator, 0, other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -420,7 +422,7 @@ class QuadNum:
                 raise ZeroDivisionError("0 has norm zero and is not invertible")
             if p < 0:
                 p, q = -p, -q
-            return _quadnum(self._d, self._x * q, self._y * q, self._z * p)
+            return self._times(self._d, q, 0, p)
         return NotImplemented
 
     def __rtruediv__(self, other):

@@ -141,7 +141,7 @@ def _canonical_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
 def canonical(p: Prototype) -> Prototype:
     """Canonical representative of p under the identification pairing; p if canonical."""
     triple = _canonical_triple(p.a, p.b, p.c)
-    return p if triple == (p.a, p.b, p.c) else _unchecked(p.kind, p.D, *triple, p.q)
+    return p if triple == (p.a, p.b, p.c) else _new(Prototype, (p.kind, p.D, *triple, p.q))
 
 
 @lru_cache(maxsize=1)
@@ -262,11 +262,6 @@ def _t_sums(D: int) -> tuple[int, int]:
     return sigma_total, w_count
 
 
-def _unchecked(kind: str, D: int, a: int, b: int, c: int, q: int) -> Prototype:
-    """A Prototype built without any check, for results that inherit validity."""
-    return _new(Prototype, (kind, D, a, b, c, q))
-
-
 @lru_cache(maxsize=3)
 def _enumerate(D: int, kind: str) -> tuple[Prototype, ...]:
     """The canonical prototypes of one kind, sorted, valid by construction.
@@ -337,7 +332,7 @@ def next_prototype(p: Prototype) -> Prototype:
     _require_kind(p, "Y", "next_prototype")
     if p.is_terminal:
         raise ValueError(f"{p} is terminal and has no successor")
-    return _unchecked("Y", p.D, *_next_triple(p.a, p.b, p.c), p.q)
+    return _new(Prototype, ("Y", p.D, *_next_triple(p.a, p.b, p.c), p.q))
 
 
 def prev_prototype(p: Prototype) -> Prototype:
@@ -356,8 +351,8 @@ def prev_prototype(p: Prototype) -> Prototype:
         raise ValueError(f"{p} is degenerate and has no predecessor")
     a, b, c, q = p.abcq
     if a - b + c <= 0:
-        return _unchecked("Y", p.D, a, -2 * a + b, a - b + c, q)
-    return _unchecked("Y", p.D, -c, -b + 2 * c, -a + b - c, q)
+        return _new(Prototype, ("Y", p.D, a, -2 * a + b, a - b + c, q))
+    return _new(Prototype, ("Y", p.D, -c, -b + 2 * c, -a + b - c, q))
 
 
 def t_involution(p: Prototype) -> Prototype:
@@ -375,8 +370,8 @@ def t_involution(p: Prototype) -> Prototype:
         raise ValueError(f"t_involution is undefined on the degenerate {p}")
     a, b, c, q = p.abcq
     if a - b + c <= 0:
-        return _unchecked("Y", p.D, a, -b, c, q)
-    return _unchecked("Y", p.D, -c, b, -a, q)
+        return _new(Prototype, ("Y", p.D, a, -b, c, q))
+    return _new(Prototype, ("Y", p.D, -c, b, -a, q))
 
 
 def multiplicity(p: Prototype) -> int:
@@ -449,7 +444,7 @@ def y_image(p: Prototype) -> Prototype:
     if p.kind == "Y":
         return p
     a, b, c, q = p.abcq
-    return _unchecked("Y", p.D, *_canonical_triple(a, b, c), q % math.gcd(a, b, c))
+    return _new(Prototype, ("Y", p.D, *_canonical_triple(a, b, c), q % math.gcd(a, b, c)))
 
 
 def from_splitting_prototype(a: int, b: int, c: int, e: int) -> Prototype:
@@ -461,7 +456,7 @@ def from_splitting_prototype(a: int, b: int, c: int, e: int) -> Prototype:
     g = math.gcd(c, b)
     if g == 0:
         raise ValueError(f"splitting quadruple ({a},{b},{c},{e}) has b = c = 0")
-    p = _unchecked("W", D, c, e, -b, a % g)
+    p = _new(Prototype, ("W", D, c, e, -b, a % g))
     p.__post_init__()  # D is checked; the field and shape checks remain
     return p
 

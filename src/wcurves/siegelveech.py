@@ -31,7 +31,6 @@ from .prototypes import (
     _spin,
     _spin_applies,
     _spin_split,
-    _unchecked,
     _w_cusps,
     lambda_of,
 )
@@ -204,8 +203,8 @@ def _constants(D: int) -> tuple[QuadNum, tuple[QuadNum, QuadNum] | None, QuadNum
 
 
 def _per_chi(s: QuadNum, n: int, m: int) -> QuadNum:
-    """s / (-2 chi) for chi = n/m < 0 with m > 0, as one _quadnum with z > 0."""
-    return _quadnum(s._d, m * s._x, m * s._y, -2 * n * s._z)
+    """s / (-2 chi) for chi = n/m < 0 with m > 0, as the product s * m/(-2n)."""
+    return s._times(s.disc, m, 0, -2 * n)
 
 
 def sv_constant(D: int) -> QuadNum:
@@ -237,7 +236,7 @@ def _unfolding(D: int) -> tuple[int, int]:
 def unfolding_prototype(D: int) -> Prototype:
     """The cusp prototype of the unfolded right triangle billiard."""
     _check_sv_discriminant(D)
-    return _unchecked("W", D, 1, *_unfolding(D), 0)  # valid by construction
+    return _new(Prototype, ("W", D, 1, *_unfolding(D), 0))  # valid by construction
 
 
 def _area(D: int) -> QuadNum:
@@ -250,23 +249,18 @@ def _area(D: int) -> QuadNum:
 
 
 def unfolding_area(D: int) -> QuadNum:
-    """Area factor 1 - (a/c) lambda^2 of the unfolding prototype (1, b, c, 0).
-
-    Computed in closed form, (D - b sqrt(D)) / (-2c), as D = b^2 - 4c.
-    """
+    """Check D and return `_area(D)`, the area factor of the unfolding prototype."""
     _check_sv_discriminant(D)
     return _area(D)
 
 
 def _over_area(D: int, c: QuadNum) -> QuadNum:
-    """c / _area(D) for c = (x + y sqrt(D))/z and a checked D, with no division.
+    """c / _area(D) for a checked D, as one product and no division.
 
     1/area = (D + b sqrt(D)) / (2D), as D = b^2 - 4c; at even D, b = 0 and
     the quotient is c/2.
     """
-    b = _unfolding(D)[0]
-    x, y, z = c._x, c._y, c._z
-    return _quadnum(D, D * (x + b * y), b * x + D * y, 2 * D * z)
+    return c._times(D, D, _unfolding(D)[0], 2 * D)
 
 
 # Guard digits of the first fixed-point pass of _round_pi_times.

@@ -342,6 +342,9 @@ SWEEP_DIGESTS = {
     # recorded while QuadNum text still went through Fraction
     "sv --dmin 5 --dmax 3000 --format csv":
         "3c5d11efe66807841ac1adfe6963b00d5c91d044e1bb710c47c2f8e0a635a8aa",
+    # recorded while scalar QuadNum division had its own product formula
+    "prototypes --d 20001 --kind y --format json":
+        "3d5891ee31d989ce4ba5464f8d7f18489bbaf80c3e343ee0b1f6d1322f1c9514",
 }
 
 

@@ -110,6 +110,32 @@ def test_the_oracle_imports_nothing_from_the_enumerator():
     assert not [m for m in modules if m.startswith("wcurves.prototypes")], modules
 
 
+def test_only_exact_reads_the_quadnum_integers():
+    """A product of QuadNums is formed by `QuadNum._times`, not from its slots.
+
+    Outside `exact`, only the fixed-point rounding `_round_pi_times` reads
+    the integers (x + y sqrt(d))/z.  Unchecked Prototypes are built with
+    `_new(Prototype, fields)`, and no wrapper of it is kept.
+    """
+    slots = {"_x", "_y", "_z", "_d"}
+    exempt, reads = set(), []
+    for path in sorted(Path(exact.__file__).parent.glob("*.py")):
+        if path.name == "exact.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_round_pi_times":
+                exempt.update(ast.walk(node))
+        reads += [
+            f"{path.name}:{node.lineno} .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in slots and node not in exempt
+        ]
+    assert exempt, "the guard found no _round_pi_times"
+    assert reads == []
+    assert not hasattr(prototypes, "_unchecked")
+
+
 def test_a_checked_discriminant_builds_each_euler_table_once(monkeypatch):
     calls = []
     chis = euler._chis

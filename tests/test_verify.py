@@ -184,7 +184,7 @@ def test_wrong_junction_key_fails(monkeypatch):
     def wrong(p):
         a, b, c, q = p.abcq
         triple = prototypes._canonical_triple(a, b, c)
-        return prototypes._unchecked("Y", p.D, *triple, q % math.gcd(a, c))
+        return prototypes._new(prototypes.Prototype, ("Y", p.D, *triple, q % math.gcd(a, c)))
 
     monkeypatch.setattr(verify, "y_image", wrong)
     r = verify_discriminant(17)
@@ -203,7 +203,7 @@ def test_t_image_off_the_junctions_fails_spin_balance(monkeypatch):
         if not image.is_terminal:
             return image
         a, b, c, q = image.abcq
-        return prototypes._unchecked("Y", p.D, -c, b, -a, q)
+        return prototypes._new(prototypes.Prototype, ("Y", p.D, -c, b, -a, q))
 
     monkeypatch.setattr(verify, "t_involution", partner)
     r = verify_discriminant(25)
@@ -330,7 +330,7 @@ def test_an_image_outside_the_table_goes_through_the_maps(monkeypatch):
 
     def shifted(p):
         n = right(p)
-        return prototypes._unchecked("Y", n.D, n.a, n.b, n.c, n.q + n.modulus)
+        return prototypes._new(prototypes.Prototype, ("Y", n.D, n.a, n.b, n.c, n.q + n.modulus))
 
     monkeypatch.setattr(verify, "next_prototype", shifted)
     r = verify_discriminant(17)
