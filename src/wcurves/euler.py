@@ -8,11 +8,13 @@ D = d^2 is square.
 `_chis(D)` is the one table of a discriminant: EulerReport's fields from
 chi_x to cusps_one_cylinder_spin, every key always present.  Each chi is
 an exact Fraction, or a pair of them for the spin components; at
-nonsquare D each is built from its integer pair in `_chi_ints`, which
-`siegelveech` reads without making a Fraction.  The component and
-one-cylinder cusp counts are ints, or a pair of them for the spin split;
-None marks a value undefined at D.  `euler_report` adds D, its conductor
-decomposition, h2 and the two-cylinder cusp count.
+nonsquare D each is built from its integer pair in `_chi_ints`, from
+h2.  `siegelveech` reads neither: `_v_tpass` gives it chi(W) from the
+cusp sum S = -(20/3) chi(W), which is lambda_2 = 1/3, an independent
+route.  The component and one-cylinder cusp counts are ints, or a pair
+of them for the spin split; None marks a value undefined at D.
+`euler_report` adds D, its conductor decomposition, h2 and the
+two-cylinder cusp count.
 """
 
 from __future__ import annotations

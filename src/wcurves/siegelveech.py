@@ -13,7 +13,6 @@ import math
 from decimal import Decimal
 from functools import lru_cache
 
-from .euler import _chi_ints
 from .exact import (
     QuadNum,
     _decompose,
@@ -106,8 +105,11 @@ def _v_sums(D: int) -> tuple[QuadNum, QuadNum]:
     return _over_lcm(D, sums[0]), _over_lcm(D, sums[1])
 
 
-def _v_tpass(D: int) -> QuadNum:
-    """s0 of `_v_sums`, from one pass over t; s1 is 0 or its conjugate.
+def _v_tpass(D: int, f: int) -> tuple[QuadNum, int]:
+    """(s0 of `_v_sums`, the cusp sum S), from one pass over t.
+
+    s1 of `_v_sums` is 0 or the conjugate of s0.  f is the conductor of
+    D where W splits (where `_spin_applies`) and 0 elsewhere.
 
     b runs over b >= 0 with b = D (mod 2) and b^2 < D, and each
     t = (D - b^2)/4 is factored once.  By the pairing of `_t_sums`, the W
@@ -139,11 +141,19 @@ def _v_tpass(D: int) -> QuadNum:
     give (2^k - 1) P(u, b), where P(u, b) is P(t, b) without its factor
     2^(k+1) - 1 at p = 2 (2 does not divide b).  So s0 = T/2 + Y sqrt(D),
     with T the total and Y the sum over b > 0 of
-    sigma(b) b (2^k - 1) P(u, b)/(2t).  D must already be checked as a
-    nonsquare >= 5.
+    sigma(b) b (2^k - 1) P(u, b)/(2t).
+
+    S is the sum of n (a - c)/gcd(a, c) over the W triples (a, b, c) with
+    n residues.  A triple's term is 2t/D times the rational part of its v,
+    so S is the sum over b > 0 of 2 P(t, b), plus P(t, 0) at b = 0.  By
+    Eskin-Kontsevich-Zorich, with kappa = 2/9 in H(2), lambda_2 = 1/3 on
+    every W_D (Bainbridge 2007, Chen-Moeller 2012) is the identity
+    S = -(20/3) chi(W_D), as a nonsquare D has no one-cylinder cusp.
+    Where W splits, each spin takes half of S, by the pairing above, and
+    half of chi(W_D).  D must already be checked as a nonsquare >= 5.
     """
-    split = _spin_applies(D)
-    f = _decompose(D)[1] if split else 0
+    split = f > 0
+    S = 0
     sums = {}  # t, or 2t at b = 0 or where W splits -> [x, y] of s0
     for b in range(D % 2, math.isqrt(D - 1) + 1, 2):
         t = (D - b * b) // 4
@@ -155,6 +165,7 @@ def _v_tpass(D: int) -> QuadNum:
                 P *= (p ** (e + 1) - 1) // (p - 1)
             else:
                 P *= p ** (e - 1) * (p + 1)
+        S += 2 * P if b else P
         if split:
             k = (t & -t).bit_length() - 1  # 2^k || t; P's factor on it is 2^(k+1) - 1
             y = b * ((1 << k) - 1) * (P // ((2 << k) - 1))
@@ -166,7 +177,7 @@ def _v_tpass(D: int) -> QuadNum:
     # conjugate, positive when s0 is under the second embedding, and then
     # the total s0 + s1 is positive too.
     assert s0.sign1() > 0 and (not split or s0.sign2() > 0)
-    return s0
+    return s0, S
 
 
 def _over_lcm(D: int, sums: dict[int, list[int]]) -> QuadNum:
@@ -184,21 +195,23 @@ def _constants(D: int) -> tuple[QuadNum, tuple[QuadNum, QuadNum] | None, QuadNum
     """(c, (c0, c1) or None, billiards constant) of a checked D.
 
     Each constant is a sum of v over -2 chi, with chi that of W or of one
-    spin, read as an integer pair from `euler._chi_ints`, so no Fraction
-    is made.  W splits where `_spin_applies`.  The sums of v, in total and
-    per spin, come from the t-pass `_v_tpass`, which scans no triple; the
-    billiards constant is that of the spin of the unfolding prototype.  D
-    must already be checked as a nonsquare discriminant >= 5.
+    spin.  The t-pass `_v_tpass` gives the sums of v, in total and per
+    spin, and the cusp sum S, so it scans no triple.  chi is read from S
+    as the integer pair (-3S, 20) for W and (-3S, 40) for each spin of a
+    split W (where `_spin_applies`), so no h2 and no Fraction is made.
+    The billiards constant is that of the spin of the unfolding prototype.
+    D must already be checked as a nonsquare discriminant >= 5.
     """
-    d0, f = _decompose(D)
-    _, chi_w, chi_spin, _, _ = _chi_ints(d0, f)
-    s0 = _v_tpass(D)
-    if not _spin_applies(D):
-        constant = _per_chi(s0, *chi_w)
+    split = _spin_applies(D)
+    f = _decompose(D)[1] if split else 0
+    s0, S = _v_tpass(D, f)
+    n = -3 * S
+    if not split:
+        constant = _per_chi(s0, n, 20)
         return constant, None, constant
     s1 = s0.galois_conjugate()
-    constant = _per_chi(s0 + s1, *chi_w)
-    components = (_per_chi(s0, *chi_spin), _per_chi(s1, *chi_spin))
+    constant = _per_chi(s0 + s1, n, 20)
+    components = (_per_chi(s0, n, 40), _per_chi(s1, n, 40))
     return constant, components, components[_spin(1, *_unfolding(D), 0, f)]
 
 

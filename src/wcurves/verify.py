@@ -164,7 +164,8 @@ def _check_sv(D: int):
         yield "v_positive", siegelveech.v_of_prototype(w).sign1() > 0, w
     c, components, billiards = siegelveech._constants(D)
     yield "sv_positive", c.sign1() > 0 and c.sign2() > 0
-    # _constants reads the t-pass; the scan of the W triples checks it.
+    # _constants reads the t-pass and takes chi from its cusp sum; the scan
+    # of the W triples over euler's chi, from h2, checks both.
     s0, s1 = siegelveech._v_sums(D)
     if components is None:
         scan = (s0 + s1) / (-2 * euler.chi_W(D))

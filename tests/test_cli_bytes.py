@@ -345,6 +345,11 @@ SWEEP_DIGESTS = {
     # recorded while scalar QuadNum division had its own product formula
     "prototypes --d 20001 --kind y --format json":
         "3d5891ee31d989ce4ba5464f8d7f18489bbaf80c3e343ee0b1f6d1322f1c9514",
+    # recorded while `_constants` still divided by chi from h2
+    "sv --dmin 199990 --dmax 200010 --format csv":
+        "2a3a111b20d85790de75d0be42906c0335b37d72b05403b715fa89e096024a0b",
+    "sv --d 2000017 --format json":
+        "240cf4a8f615ff5a74f2b652ff786bed09e18ef9e767f636ea6f625eb2dd3754",
 }
 
 

@@ -96,8 +96,8 @@ def test_the_case_insensitive_entries_still_fold_case():
     assert wcurves.fundamental_class(17, "w0") == wcurves.fundamental_class(17, "W0")
 
 
-def test_the_oracle_imports_nothing_from_the_enumerator():
-    tree = ast.parse(Path(reference.__file__).read_text())
+def _imports(tree: ast.AST) -> set[str]:
+    """Every module, and every module.name, that a parsed module imports."""
     modules = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -107,7 +107,33 @@ def test_the_oracle_imports_nothing_from_the_enumerator():
             modules.add(base)
             modules.update(f"{base.rstrip('.')}.{alias.name}" for alias in node.names)
     assert modules, "the guard found no imports"
+    return modules
+
+
+def test_the_oracle_imports_nothing_from_the_enumerator():
+    modules = _imports(ast.parse(Path(reference.__file__).read_text()))
     assert not [m for m in modules if m.startswith("wcurves.prototypes")], modules
+
+
+def test_the_constants_take_no_chi_from_h2():
+    """`siegelveech` reads chi(W_D) from its own cusp sum, never from h2.
+
+    So `verify`'s sv checks, which divide the scan by `euler`'s chi, compare
+    two independent routes to chi.
+    """
+    tree = ast.parse(Path(siegelveech.__file__).read_text())
+    modules = _imports(tree)
+    assert not [m for m in modules if m.startswith("wcurves.euler")], modules
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert "_v_tpass" in names, "the guard found no names"
+    assert not names & {"_t_sums", "_h2", "_h2_ints", "_chi_ints"}
 
 
 def test_only_exact_reads_the_quadnum_integers():
@@ -151,13 +177,15 @@ def test_a_checked_discriminant_builds_each_euler_table_once(monkeypatch):
     euler.consistency_chain(41)
     assert calls == [41]
     calls.clear()
-    # The constants read chi's integer pair once and build no table.
+    # The constants take chi from the t-pass: no table, no h2 pass.
     assert not hasattr(siegelveech, "_chis")
-    pairs = []
-    chi_ints = siegelveech._chi_ints
-    monkeypatch.setattr(siegelveech, "_chi_ints", lambda *args: pairs.append(args) or chi_ints(*args))
+    for info in pkgutil.iter_modules(wcurves.__path__):
+        module = importlib.import_module(f"wcurves.{info.name}")
+        for name in ("_chi_ints", "_t_sums"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
     siegelveech._constants(41)
-    assert calls == [] and pairs == [(41, 1)]
+    assert calls == []
 
 
 def _counted_checks(monkeypatch) -> list[str]:

@@ -13,6 +13,7 @@ import wcurves
 from wcurves.exact import QuadNum, decompose_discriminant, is_discriminant, is_square
 from wcurves.prototypes import (
     Prototype,
+    _spin_applies,
     _spin_split,
     _w_cusps,
     enumerate_prototypes,
@@ -218,6 +219,11 @@ def test_closed_form_matches_quadnum_oracle_at_large_d():
         assert _v_sums(D) == tuple(_oracle(D)), D
 
 
+def _t_pass(D):
+    """`_v_tpass` at a nonsquare D, given the conductor where W splits."""
+    return _v_tpass(D, decompose_discriminant(D)[1] if _spin_applies(D) else 0)
+
+
 def test_t_pass_total_matches_triple_scan():
     # Beyond 4000: nonsplit odd 45141, nonsplit even 47928 and 50020,
     # split 50033 and 200017.
@@ -225,7 +231,7 @@ def test_t_pass_total_matches_triple_scan():
         if D % 4 not in (0, 1) or is_square(D):
             continue
         s0, s1 = _v_sums(D)
-        t0 = _v_tpass(D)
+        t0, _ = _t_pass(D)
         assert (t0 + t0.galois_conjugate() if D % 8 == 1 else t0) == s0 + s1, D
 
 
@@ -236,7 +242,7 @@ def _split_discriminants(dmax):
 def test_t_pass_spins_match_triple_scan():
     # Spin 0 from the pass, spin 1 its conjugate.
     for D in [*_split_discriminants(4000), 50033, 200017, 2000017, 2000033]:
-        s0 = _v_tpass(D)
+        s0, _ = _t_pass(D)
         assert (s0, s0.galois_conjugate()) == _v_sums(D), D
 
 
@@ -249,13 +255,38 @@ def test_spins_have_equal_two_cylinder_cusp_counts():
         assert n0 == n1, D
 
 
+# Nonsquare D in 5..4000, and beyond: nonsplit odd 45141, nonsplit even
+# 47928 and 50020, split 50033, 200017 and 2000017.
+_CUSP_SUM_DS = [
+    D for D in [*range(5, 4001), 45141, 47928, 50020, 50033, 200017, 2000017]
+    if D % 4 in (0, 1) and not is_square(D)
+]
+
+
+def test_t_pass_cusp_sum_is_minus_twenty_thirds_chi():
+    # The identity `_constants` reads chi from, against chi from h2: in
+    # total, and where W splits, half of S per spin component.
+    for D in _CUSP_SUM_DS:
+        _, S = _t_pass(D)
+        assert S == Fraction(-20, 3) * chi_W(D), D
+        if _spin_applies(D):
+            for chi in chi_W_components(D):
+                assert Fraction(S, 2) == Fraction(-20, 3) * chi, D
+
+
+def test_t_pass_cusp_sum_matches_triple_scan():
+    for D in _CUSP_SUM_DS:
+        scan = sum(n * (a - c) // math.gcd(a, c) for a, b, c, n in _w_cusps(D))
+        assert _t_pass(D)[1] == scan, D
+
+
 def test_constants_are_the_t_pass_over_minus_twice_chi():
-    # _constants divides by chi's integer pair; here the Fraction chi's of
-    # `euler` divide the same t-pass sums.
+    # _constants divides by chi read from the t-pass's cusp sum; here the
+    # Fraction chi's of `euler`, from h2, divide the same t-pass sums.
     for D in [*range(5, 3001), 50033, 2000017]:
         if D % 4 not in (0, 1) or is_square(D):
             continue
-        s0 = _v_tpass(D)
+        s0, _ = _t_pass(D)
         constant, components, _ = _constants(D)
         if D % 8 != 1:
             assert (constant, components) == (s0 / (-2 * chi_W(D)), None), D
