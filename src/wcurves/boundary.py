@@ -42,8 +42,8 @@ from .prototypes import (
     _new,
     _next_triple,
     _orbifold_order,
+    _spin,
     _spin_applies,
-    _spin_split,
     t_involution,
 )
 
@@ -169,14 +169,15 @@ def build_complex(D: int) -> CuspComplex:
     for p in protos:
         _, _, a, b, c, q = p
         terminal = a + b + c == 0
-        pcusps = math.gcd(a, c) // math.gcd(a, b, c) if c < 0 else 0
+        g = math.gcd(a, b, c)
+        pcusps = math.gcd(a, c) // g if c < 0 else 0
         wcusps = 0 if terminal else pcusps
         src = ids[a, b, c, q] if c < 0 else "S1"
         if c < 0:
             spins = None
             if f is not None:
-                s0, s1 = _spin_split(a, b, c, wcusps, f)
-                spins = (0,) * s0 + (1,) * s1
+                # The W fiber over the junction is q + k g for k < wcusps.
+                spins = tuple(sorted(_spin(a, b, c, q + k * g, f) for k in range(wcusps)))
             curves.append(_new(CurveNode, (src, p, wcusps, pcusps, spins)))
         if terminal:
             dst = "S2"

@@ -72,7 +72,8 @@ def h2(D: int) -> Fraction:
 
     with e running over both signs.  The terms with D > e^2 are summed
     as integers; at square D = d^2 the two terms e = +-d are
-    sigma_1(0) = -1/24 each.  H(2, 0) = -1/120.
+    sigma_1(0) = -1/24 each.  At D = 0 the one term e = 0 gives
+    H(2, 0) = -(1/5) sigma_1(0) = 1/120 = zeta(-3) (Cohen 1975).
     """
     check_discriminant(D, minimum=0)
     return _h2(D)
@@ -81,7 +82,7 @@ def h2(D: int) -> Fraction:
 def _h2(D: int) -> Fraction:
     """h2 of a checked D, from the sigma_1 total of `_t_sums`."""
     if D == 0:
-        return Fraction(-1, 120)
+        return Fraction(1, 120)
     return Fraction(*_h2_ints(D))
 
 

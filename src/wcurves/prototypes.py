@@ -180,20 +180,6 @@ def _triples(D: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-def _w_cusps(D: int):
-    """(a, b, c, n) for each kind W triple, n the number of its residues q.
-
-    The residues are the q mod m = gcd(a, c) coprime to g = gcd(a, b, c),
-    and g divides m, so n = phi(g) * m / g, which is m when g = 1.
-    """
-    c_top, s_top = _BOUNDS["W"]
-    for a, b, c in _triples(D):
-        if c < c_top and a + b + c < s_top:
-            m = math.gcd(a, c)
-            g = math.gcd(m, b)
-            yield a, b, c, m if g == 1 else euler_phi(g) * (m // g)
-
-
 # Two entries hold what one euler_report asks for: the pass of D and of its D0.
 @lru_cache(maxsize=2)
 def _t_sums(D: int) -> tuple[int, int]:
@@ -205,13 +191,14 @@ def _t_sums(D: int) -> tuple[int, int]:
     that `h2` is made from.  The W count is the number of kind W
     prototypes of D.
 
-    It equals the sum of n over `_w_cusps(D)`, which is its oracle.  For
-    t as above, let F(t, b) be the sum over a | t of h(gcd(a, t/a)),
-    where h(m) = phi(g) m/g with g = gcd(m, b): the residue count of
-    `_w_cusps`.  F is multiplicative in t; over p^e || t it takes the
-    factor sum over i = 0..e of h(p^min(i, e - i)), where h(p^k) = p^k if
-    p does not divide b and p^k - p^(k-1) if it does (h(1) = 1).  With
-    k = e // 2 and pk = p^k that sum is, in closed form,
+    The W count equals `len(enumerate_prototypes(D, "W"))`, its oracle.
+    A W triple (a, b, c) has the residues q mod m = gcd(a, c) coprime to
+    g = gcd(a, b, c) = gcd(m, b), and g divides m, so it has
+    h(m) = phi(g) m/g of them.  For t as above, let F(t, b) be the sum
+    over a | t of h(gcd(a, t/a)).  F is multiplicative in t; over p^e || t
+    it takes the factor sum over i = 0..e of h(p^min(i, e - i)), where
+    h(p^k) = p^k if p does not divide b and p^k - p^(k-1) if it does
+    (h(1) = 1).  With k = e // 2 and pk = p^k that sum is, in closed form,
 
                     odd e                   even e
         p | b       2 pk                    pk + pk/p
@@ -403,24 +390,15 @@ def _spin_applies(D: int) -> bool:
 
 
 def _spin(a: int, b: int, c: int, q: int, f: int) -> int:
-    """Spin of the W prototype (a, b, c, q) of a discriminant with conductor f."""
-    return ((b - f) // 2 + (a + 1) * (q + c + q * c)) % 2
+    """Spin of the W prototype (a, b, c, q) of a discriminant with conductor f.
 
-
-def _spin_split(a: int, b: int, c: int, n: int, f: int) -> tuple[int, int]:
-    """How many of n residues q of a kind W triple have spin 0 and spin 1.
-
-    The n residues are all those of the triple, or the fiber q + k g,
-    k < m/g, over one junction.  Spin depends on q only through its
-    parity, and only when a and c are both even.  Then b is odd (D is
-    odd), so g = gcd(a, b, c) is odd and 2g divides m = gcd(a, c); q ->
-    q + g flips parity on the residues coprime to g, so they split evenly.
+    Spin depends on q only through its parity, and only when a and c are
+    both even.  Then b is odd (D is odd), so g = gcd(a, b, c) is odd and
+    2g divides gcd(a, c); q -> q + g flips parity on the residues coprime
+    to g, so those of a triple, or of its fiber over one junction, split
+    evenly between the spins.
     """
-    s = _spin(a, b, c, 0, f)
-    if s == _spin(a, b, c, 1, f):
-        return (n, 0) if s == 0 else (0, n)
-    assert n % 2 == 0
-    return n // 2, n // 2
+    return ((b - f) // 2 + (a + 1) * (q + c + q * c)) % 2
 
 
 def spin(p: Prototype) -> int:

@@ -29,8 +29,6 @@ from .prototypes import (
     _require_kind,
     _spin,
     _spin_applies,
-    _spin_split,
-    _w_cusps,
     lambda_of,
 )
 
@@ -64,9 +62,10 @@ def _check_sv_discriminant(D: int) -> None:
 def v_of_prototype(p: Prototype) -> QuadNum:
     """Cusp contribution (-c/gcd(a,c)) (1 - (a/c) lambda^2) (1 + 1/lambda^2).
 
-    It heads a chain of test oracles: this QuadNum route checks the scan
-    `_v_sums`, and the scan checks the t-pass `_v_tpass`, in total and per
-    spin.
+    In closed form v = (D(a - c) + b(a + c) sqrt(D)) / (2|ac| gcd(a, c)).
+    It is the oracle of the t-pass `_v_tpass`: `verify` sums this QuadNum
+    route over the W prototypes per spin and compares the sums with the
+    constants, in total and per spin.
     """
     _require_kind(p, "W", "v_of_prototype")
     if not _sv_applies(p.D):  # a kind W D is checked and >= 5, so D is square
@@ -79,37 +78,13 @@ def v_of_prototype(p: Prototype) -> QuadNum:
     return out
 
 
-def _v_sums(D: int) -> tuple[QuadNum, QuadNum]:
-    """Sums of v over the W cusps of spin 0 and of spin 1.
-
-    v depends on the triple (a, b, c) only:
-    v = (D(a - c) + b(a + c) sqrt(D)) / (2|ac| gcd(a, c)), weighted by the
-    number of residues q of the triple.  Outside the split regime every
-    cusp counts toward the first sum.  Numerators are summed in integers
-    per denominator, and the denominators are brought together once.
-    D must already be checked.
-    """
-    split = _spin_applies(D)
-    f = _decompose(D)[1] if split else 0
-    sums = ({}, {})  # per spin: denominator -> [sum of k*x, sum of k*y]
-    for a, b, c, n in _w_cusps(D):
-        x, y = D * (a - c), b * (a + c)
-        # x > 0, so x + y sqrt(D) > 0 unless y < 0 and y^2 D >= x^2
-        assert y >= 0 or D * (a - c) ** 2 > y * y
-        den = -2 * a * c * math.gcd(a, c)
-        for eps, k in enumerate(_spin_split(a, b, c, n, f) if split else (n, 0)):
-            if k:
-                acc = sums[eps].setdefault(den, [0, 0])
-                acc[0] += k * x
-                acc[1] += k * y
-    return _over_lcm(D, sums[0]), _over_lcm(D, sums[1])
-
-
 def _v_tpass(D: int, f: int) -> tuple[QuadNum, int]:
-    """(s0 of `_v_sums`, the cusp sum S), from one pass over t.
+    """(s0, the cusp sum S), from one pass over t.
 
-    s1 of `_v_sums` is 0 or the conjugate of s0.  f is the conductor of
-    D where W splits (where `_spin_applies`) and 0 elsewhere.
+    s0 and s1 are the sums of v over the W prototypes of spin 0 and of
+    spin 1, all of them spin 0 where W does not split; s1 is 0 or the
+    conjugate of s0.  f is the conductor of D where W splits (where
+    `_spin_applies`) and 0 elsewhere.
 
     b runs over b >= 0 with b = D (mod 2) and b^2 < D, and each
     t = (D - b^2)/4 is factored once.  By the pairing of `_t_sums`, the W

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from . import boundary, euler, reference, siegelveech
 from .exact import (
+    QuadNum,
     _decompose,
     _discriminants,
     _is_integer,
@@ -159,17 +160,22 @@ def _check_euler(D: int):
 def _check_sv(D: int):
     if not siegelveech._sv_applies(D):
         return
-    ws = enumerate_prototypes(D, "W")
-    for w in ws:
-        yield "v_positive", siegelveech.v_of_prototype(w).sign1() > 0, w
+    split = _spin_applies(D)
+    f = _decompose(D)[1] if split else 0
+    sums = [QuadNum(D), QuadNum(D)]  # the QuadNum sums of v per spin
+    for w in enumerate_prototypes(D, "W"):
+        v = siegelveech.v_of_prototype(w)
+        yield "v_positive", v.sign1() > 0, w
+        eps = _spin(w.a, w.b, w.c, w.q, f) if split else 0
+        sums[eps] += v
     c, components, billiards = siegelveech._constants(D)
     yield "sv_positive", c.sign1() > 0 and c.sign2() > 0
-    # _constants reads the t-pass and takes chi from its cusp sum; the scan
-    # of the W triples over euler's chi, from h2, checks both.
-    s0, s1 = siegelveech._v_sums(D)
+    # _constants reads the t-pass and takes chi from its cusp sum; the
+    # QuadNum sums of v over euler's chi, from h2, check both.
+    s0, s1 = sums
     if components is None:
-        scan = (s0 + s1) / (-2 * euler.chi_W(D))
-        yield "sv_rational", scan.rad == 0 and scan == c, lambda: f"{scan} vs {c}"
+        k = s0 / (-2 * euler.chi_W(D))
+        yield "sv_rational", k.rad == 0 and k == c, lambda: f"{k} vs {c}"
     else:
         chi0, chi1 = euler.chi_W_components(D)
         k0, k1 = s0 / (-2 * chi0), s1 / (-2 * chi1)

@@ -118,8 +118,8 @@ def test_the_oracle_imports_nothing_from_the_enumerator():
 def test_the_constants_take_no_chi_from_h2():
     """`siegelveech` reads chi(W_D) from its own cusp sum, never from h2.
 
-    So `verify`'s sv checks, which divide the scan by `euler`'s chi, compare
-    two independent routes to chi.
+    So `verify`'s sv checks, which divide the QuadNum sums of v by
+    `euler`'s chi, compare two independent routes to chi.
     """
     tree = ast.parse(Path(siegelveech.__file__).read_text())
     modules = _imports(tree)

@@ -25,7 +25,6 @@ from wcurves.euler import (
     zeta_minus_one,
 )
 from wcurves.exact import (
-    _decompose,
     decompose_discriminant,
     divisors,
     euler_phi,
@@ -36,10 +35,9 @@ from wcurves.exact import (
 )
 from wcurves.prototypes import (
     _spin_applies,
-    _spin_split,
     _t_sums,
-    _w_cusps,
     enumerate_prototypes,
+    spin,
 )
 from wcurves.reference import reference_tuples
 
@@ -59,7 +57,7 @@ def test_h2_low_values():
 
 
 def test_h2_more_values():
-    assert h2(0) == Fraction(-1, 120)
+    assert h2(0) == Fraction(1, 120)
     assert h2(17) == -4
     assert h2(45) == Fraction(-62, 5)
 
@@ -73,16 +71,17 @@ def test_h2_rejects_non_discriminants():
 
 def test_h2_rejects_non_integers():
     # Cached integer values must not answer for equal keys of other types.
-    assert h2(0) == Fraction(-1, 120) and h2(1) == Fraction(-1, 12)
+    assert h2(0) == Fraction(1, 120) and h2(1) == Fraction(-1, 12)
     for D in (False, True, 0.0, 1.0, 4.0, Fraction(5)):
         with pytest.raises(ValueError, match="need an integer >= 0 congruent"):
             h2(D)
 
 
 def _h2_by_sigma(D):
-    """h2 by the Fraction formula from the public sigma, with its D = 0 row."""
-    if D == 0:
-        return Fraction(-1, 120)
+    """h2 by the Fraction formula from the public sigma, at D = 0 too.
+
+    There its one term is e = 0, with sigma(1, 0) = -1/24.
+    """
     total = Fraction(0)
     e = D % 2
     while e * e <= D:
@@ -110,7 +109,7 @@ _PASS_DS = [D for D in range(1, 3001) if D % 4 in (0, 1)] + [
 
 def test_one_pass_matches_both_oracles():
     for D in _PASS_DS:
-        assert _t_sums(D)[1] == sum(n for *_, n in _w_cusps(D)), D
+        assert _t_sums(D)[1] == len(enumerate_prototypes(D, "W")), D
         assert h2(D) == _h2_by_sigma(D), D
 
 
@@ -334,19 +333,16 @@ def test_cusp_moduli_sum_to_minus_twenty_thirds_chi():
     Let S sum (a - c)/gcd(a, c) over the W prototypes (a, b, c, q) and 1
     over the one-cylinder cusps.  By the Eskin-Kontsevich-Zorich formula,
     with kappa = 2/9 in H(2), Bainbridge's lambda_2 = 1/3 holds exactly
-    when S = -(20/3) chi(W_D).  The prototypes are counted per triple with
-    their n residues, split by spin where W_D splits.
+    when S = -(20/3) chi(W_D).  The prototypes are split by `spin` where
+    W_D splits.
     """
     for D in range(5, 601):
         if D % 4 > 1 or D == 9:
             continue
         split = _spin_applies(D)
-        f = _decompose(D)[1] if split else 0
         s = [0, 0]
-        for a, b, c, n in _w_cusps(D):
-            m = (a - c) // math.gcd(a, c)
-            for eps, k in enumerate(_spin_split(a, b, c, n, f) if split else (n, 0)):
-                s[eps] += k * m
+        for p in enumerate_prototypes(D, "W"):
+            s[spin(p) if split else 0] += (p.a - p.c) // math.gcd(p.a, p.c)
         chis = _chis(D)
         ones, ones_split = chis["cusps_one_cylinder"], chis["cusps_one_cylinder_spin"]
         assert s[0] + s[1] + ones == Fraction(-20, 3) * chis["chi_w"], D
@@ -424,6 +420,6 @@ def test_euler_report_tiny():
 
 def test_h_table():
     rows = h_table(0, 16)
-    assert rows[0] == (0, Fraction(-1, 120))
+    assert rows[0] == (0, Fraction(1, 120))
     assert (5, Fraction(-2, 5)) in rows
     assert [D for D, _ in rows] == [0, 1, 4, 5, 8, 9, 12, 13, 16]

@@ -1,15 +1,16 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcurves.exact import QuadNum, is_discriminant
+from wcurves.exact import QuadNum, euler_phi, is_discriminant
 from wcurves.prototypes import (
     Prototype,
     _enumerate,
     _t_sums,
-    _w_cusps,
     canonical,
     enumerate_prototypes,
     from_splitting_prototype,
@@ -386,10 +387,15 @@ def test_involution_conjugates_dynamics(D, rng):
 
 
 def test_w_residue_counts_match_enumeration():
+    # The residue count h(m) = phi(g) m/g of `_t_sums`, m = gcd(a, c) and
+    # g = gcd(m, b), per W triple.
     for D in range(1, 2001):
         if D % 4 in (0, 1):
-            count = sum(n for *_, n in _w_cusps(D))
-            assert count == len(enumerate_prototypes(D, "W")), D
+            counts = Counter(p.abcq[:3] for p in enumerate_prototypes(D, "W"))
+            for (a, b, c), n in counts.items():
+                m = math.gcd(a, c)
+                g = math.gcd(m, b)
+                assert n == euler_phi(g) * m // g, (D, a, b, c)
 
 
 _LARGE_DISCS = st.one_of(
@@ -401,7 +407,7 @@ _LARGE_DISCS = st.one_of(
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_LARGE_DISCS)
 def test_w_count_matches_the_scan(D):
-    assert _t_sums(D)[1] == sum(n for *_, n in _w_cusps(D))
+    assert _t_sums(D)[1] == len(enumerate_prototypes(D, "W"))
 
 
 def test_enumeration_cache_holds_one_discriminant():

@@ -14,8 +14,6 @@ from wcurves.exact import QuadNum, decompose_discriminant, is_discriminant, is_s
 from wcurves.prototypes import (
     Prototype,
     _spin_applies,
-    _spin_split,
-    _w_cusps,
     enumerate_prototypes,
     lambda_of,
     spin,
@@ -25,7 +23,6 @@ from wcurves.siegelveech import (
     _area,
     _constants,
     _over_area,
-    _v_sums,
     _v_tpass,
     billiards_coefficient,
     billiards_constant,
@@ -176,12 +173,37 @@ def _oracle(D):
     return sums
 
 
+def _v_scan(D):
+    """Sums of v over the W prototypes of spin 0 and of spin 1, in integers.
+
+    v = (D(a - c) + b(a + c) sqrt(D)) / (2|ac| gcd(a, c)) in closed form.
+    Numerators are summed per denominator, and the denominators are brought
+    together once.  Where W does not split, every prototype counts toward
+    the first sum.  It is the fast reference for `_v_tpass` at large D.
+    """
+    split = D % 8 == 1
+    sums = ({}, {})  # per spin: denominator -> [sum of x, sum of y]
+    for p in enumerate_prototypes(D, "W"):
+        a, b, c = p.a, p.b, p.c
+        den = -2 * a * c * math.gcd(a, c)
+        acc = sums[spin(p) if split else 0].setdefault(den, [0, 0])
+        acc[0] += D * (a - c)
+        acc[1] += b * (a + c)
+    out = []
+    for spin_sums in sums:
+        z = math.lcm(*spin_sums)
+        x = sum(u * (z // den) for den, (u, _) in spin_sums.items())
+        y = sum(v * (z // den) for den, (_, v) in spin_sums.items())
+        out.append(QuadNum(D, Fraction(x, z), Fraction(y, z)))
+    return tuple(out)
+
+
 def test_closed_form_matches_quadnum_oracle():
     for D in range(5, 1001):
         if D % 4 not in (0, 1) or is_square(D):
             continue
         s0, s1 = _oracle(D)
-        assert _v_sums(D) == (s0, s1), D
+        assert _v_scan(D) == (s0, s1), D
         assert sv_constant(D) == (s0 + s1) / (-2 * chi_W(D)), D
         if D % 8 == 1:
             chi0, chi1 = chi_W_components(D)
@@ -191,32 +213,21 @@ def test_closed_form_matches_quadnum_oracle():
 def test_parity_split_d17():
     w0, w1 = (Prototype("W", 17, 2, -1, -2, q) for q in (0, 1))
     assert spin(w0) != spin(w1)
-    _, f = decompose_discriminant(17)
-    assert (2, -1, -2, 2) in set(_w_cusps(17))
-    assert _spin_split(2, -1, -2, 2, f) == (1, 1)
+    ws = enumerate_prototypes(17, "W")
+    assert [p.q for p in ws if p.abcq[:3] == (2, -1, -2)] == [0, 1]
     # Each spin gets one copy of v(2, -1, -2) = 17/4 besides two other terms:
     # spin 0 v(1, -3, -2) + v(1, 1, -4), spin 1 v(1, -1, -4) + v(2, -3, -1).
-    s0, s1 = _v_sums(17)
+    s0, s1 = _v_scan(17)
     assert s0 == _q(17, Fraction(221, 8), Fraction(3, 8))
     assert s1 == _q(17, Fraction(221, 8), Fraction(-3, 8))
-
-
-def test_spin_split_matches_enumerated_spins():
-    for D in (17, 33, 41, 57, 73, 89, 97, 105, 161, 185, 201, 217, 273):
-        _, f = decompose_discriminant(D)
-        spins = Counter()
-        for p in enumerate_prototypes(D, "W"):
-            spins[(p.a, p.b, p.c, spin(p))] += 1
-        for a, b, c, n in _w_cusps(D):
-            want = (spins[(a, b, c, 0)], spins[(a, b, c, 1)])
-            assert _spin_split(a, b, c, n, f) == want, (D, a, b, c)
 
 
 def test_closed_form_matches_quadnum_oracle_at_large_d():
     # split, nonsplit odd and even D; each has over 100 distinct denominators
     for D in (50033, 50021, 50020):
-        assert len({-2 * a * c * math.gcd(a, c) for a, b, c, n in _w_cusps(D)}) > 100
-        assert _v_sums(D) == tuple(_oracle(D)), D
+        ws = enumerate_prototypes(D, "W")
+        assert len({-2 * p.a * p.c * math.gcd(p.a, p.c) for p in ws}) > 100
+        assert _v_scan(D) == tuple(_oracle(D)), D
 
 
 def _t_pass(D):
@@ -230,7 +241,7 @@ def test_t_pass_total_matches_triple_scan():
     for D in [*range(5, 4001), 45141, 47928, 50020, 50033, 200017]:
         if D % 4 not in (0, 1) or is_square(D):
             continue
-        s0, s1 = _v_sums(D)
+        s0, s1 = _v_scan(D)
         t0, _ = _t_pass(D)
         assert (t0 + t0.galois_conjugate() if D % 8 == 1 else t0) == s0 + s1, D
 
@@ -243,16 +254,15 @@ def test_t_pass_spins_match_triple_scan():
     # Spin 0 from the pass, spin 1 its conjugate.
     for D in [*_split_discriminants(4000), 50033, 200017, 2000017, 2000033]:
         s0, _ = _t_pass(D)
-        assert (s0, s0.galois_conjugate()) == _v_sums(D), D
+        assert (s0, s0.galois_conjugate()) == _v_scan(D), D
 
 
 def test_spins_have_equal_two_cylinder_cusp_counts():
     # The pairing of _v_tpass: paired W triples have opposite spins, or
     # both split evenly.
     for D in _split_discriminants(4000):
-        _, f = decompose_discriminant(D)
-        n0, n1 = map(sum, zip(*(_spin_split(*w, f) for w in _w_cusps(D))))
-        assert n0 == n1, D
+        n = Counter(spin(p) for p in enumerate_prototypes(D, "W"))
+        assert n[0] == n[1], D
 
 
 # Nonsquare D in 5..4000, and beyond: nonsplit odd 45141, nonsplit even
@@ -276,7 +286,7 @@ def test_t_pass_cusp_sum_is_minus_twenty_thirds_chi():
 
 def test_t_pass_cusp_sum_matches_triple_scan():
     for D in _CUSP_SUM_DS:
-        scan = sum(n * (a - c) // math.gcd(a, c) for a, b, c, n in _w_cusps(D))
+        scan = sum((p.a - p.c) // math.gcd(p.a, p.c) for p in enumerate_prototypes(D, "W"))
         assert _t_pass(D)[1] == scan, D
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from wcurves import boundary, euler, prototypes, reference, siegelveech, verify
+from wcurves import boundary, euler, exact, prototypes, reference, siegelveech, verify
 from wcurves.exact import QuadNum, is_square
 from wcurves.prototypes import Prototype
 from wcurves.verify import verify_discriminant, verify_range
@@ -239,14 +239,37 @@ def test_euler_failure_text(monkeypatch):
 
 @pytest.mark.parametrize("D", [17, 41, 89])
 def test_spin_swap_fails_sv_conjugacy(monkeypatch, D):
-    # The scan's spin split with its two spins swapped; the even split of
-    # a triple whose a and c are even is the same either way.
+    # Every spin that `verify` reads flipped: the sv suite sums each v into
+    # the other spin, so its two sums swap.  `spin_lift_stable` compares
+    # the flipped spin with the public `spin` and fails too.
     assert verify_discriminant(D).ok
-    split = prototypes._spin_split
-    monkeypatch.setattr(siegelveech, "_spin_split", lambda *args: split(*args)[::-1])
+    spin = prototypes._spin
+    monkeypatch.setattr(verify, "_spin", lambda *args: 1 - spin(*args))
     r = verify_discriminant(D)
     c0, c1 = siegelveech.sv_constant_components(D)
-    assert r.failures == (f"sv_conjugacy: scan ({c1}, {c0}) vs ({c0}, {c1})",)
+    assert f"sv_conjugacy: scan ({c1}, {c0}) vs ({c0}, {c1})" in r.failures
+    assert {text.split(":")[0] for text in r.failures} == {"sv_conjugacy", "spin_lift_stable"}
+
+
+@pytest.mark.parametrize("D, check", [(13, "sv_rational"), (20, "sv_rational"), (17, "sv_conjugacy")])
+def test_quadnum_sum_of_mixed_denominators_fails_sv(monkeypatch, D, check):
+    # `QuadNum.__add__` taking the sqrt part y w + v w for y w + v z, which
+    # is wrong only when two irrational summands have different
+    # denominators.  The sv suite adds the QuadNum v's of the W prototypes,
+    # so its sums move off the t-pass's.
+    assert verify_discriminant(D).ok
+    add = QuadNum.__add__
+
+    def mixed(self, other):
+        if not isinstance(other, QuadNum):
+            return add(self, other)
+        x, y, z = self._x, self._y, self._z
+        u, v, w = other._x, other._y, other._z
+        return exact._quadnum(self._common_disc(other), x * w + u * z, y * w + v * w, z * w)
+
+    monkeypatch.setattr(QuadNum, "__add__", mixed)
+    r = verify_discriminant(D)
+    assert len(r.failures) == 1 and r.failures[0].startswith(f"{check}: "), r.failures
 
 
 def test_raising_suite_is_one_failure(monkeypatch):
