@@ -8,11 +8,12 @@ D = d^2 is square.
 `_chis(D)` is the one table of a discriminant: EulerReport's fields from
 chi_x to cusps_one_cylinder_spin, every key always present.  Each chi is
 an exact Fraction, or a pair of them for the spin components; at
-nonsquare D each is built from its integer pair in `_chi_ints`, from
-h2.  `siegelveech` reads neither: `_v_tpass` gives it chi(W) from the
-cusp sum S = -(20/3) chi(W), which is lambda_2 = 1/3, an independent
-route.  The component and one-cylinder cusp counts are ints, or a pair
-of them for the spin split; None marks a value undefined at D.
+nonsquare D each is chi_X's integer pair from h2, scaled by integers.
+`siegelveech` reads neither `_chis` nor h2: `_v_tpass` gives it chi(W)
+from the cusp sum S = -(20/3) chi(W), which is lambda_2 = 1/3, an
+independent route.  The component and one-cylinder cusp counts are
+ints, or a pair of them for the spin split; None marks a value undefined
+at D.
 `euler_report` adds D, its conductor decomposition, h2 and the
 two-cylinder cusp count.
 """
@@ -149,35 +150,22 @@ def _chis(D: int) -> dict:
             "cusps_one_cylinder": one,
             "cusps_one_cylinder_spin": spin,
         }
-    x, w, w_spin, p, q = _chi_ints(d0, d)
+    # chi_X = 2 d^3 zeta_K(-1) num/den = n/m with zeta_K(-1) = -h2(d0)/12;
+    # every other chi scales n and m by integers, so each is reduced once.
+    hn, hd = _h2_ints(d0)
+    num, den = _mobius_ints(d0, d)
+    n, m = -(d**3) * hn * num, 6 * hd * den
     return {
-        "chi_x": Fraction(*x),
-        "chi_w": Fraction(*w),
-        "chi_w_components": (Fraction(*w_spin),) * 2 if split else None,
-        "chi_p": Fraction(*p),
-        "chi_q": Fraction(*q),
+        "chi_x": Fraction(n, m),
+        "chi_w": Fraction(-9 * n, 2 * m),
+        "chi_w_components": (Fraction(-9 * n, 4 * m),) * 2 if split else None,
+        "chi_p": Fraction(-5 * n, 2 * m),
+        "chi_q": Fraction(-5 * n, m),
         "chi_s": None,
         "components": 2 if split else 1,
         "cusps_one_cylinder": 0,
         "cusps_one_cylinder_spin": None,
     }
-
-
-def _chi_ints(d0: int, f: int) -> tuple[tuple[int, int], ...]:
-    """(chi_x, chi_w, chi_w of each spin, chi_p, chi_q) at the nonsquare D = f^2 d0.
-
-    Each chi is an unreduced (numerator, denominator) pair with a positive
-    denominator.  chi_X = 2 f^3 zeta_K(-1) s = n/m, with zeta_K(-1) =
-    -h2(d0)/12 and s the Moebius product, and every other chi scales n and
-    m by integers: chi_W = -(9/2) chi_X, each spin of a split W (where
-    `_spin_applies`) has half of chi_W, chi_P = -(5/2) chi_X and chi_Q =
-    2 chi_P.  chi_X > 0 and chi_W < 0.
-    """
-    hn, hd = _h2_ints(d0)
-    num, den = _mobius_ints(d0, f)
-    n, m = -(f**3) * hn * num, 6 * hd * den
-    w = -9 * n, 2 * m
-    return (n, m), w, (w[0], 2 * w[1]), (-5 * n, 2 * m), (-5 * n, m)
 
 
 def chi_X(D: int) -> Fraction:

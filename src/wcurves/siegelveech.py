@@ -171,28 +171,23 @@ def _constants(D: int) -> tuple[QuadNum, tuple[QuadNum, QuadNum] | None, QuadNum
 
     Each constant is a sum of v over -2 chi, with chi that of W or of one
     spin.  The t-pass `_v_tpass` gives the sums of v, in total and per
-    spin, and the cusp sum S, so it scans no triple.  chi is read from S
-    as the integer pair (-3S, 20) for W and (-3S, 40) for each spin of a
-    split W (where `_spin_applies`), so no h2 and no Fraction is made.
-    The billiards constant is that of the spin of the unfolding prototype.
-    D must already be checked as a nonsquare discriminant >= 5.
+    spin, and the cusp sum S, so it scans no triple.  chi(W) = -3S/20 is
+    read from S, and each spin of a split W (where `_spin_applies`) has
+    half of it, so a sum s is divided as the product s * 10/(3S) for W and
+    s * 20/(3S) for a spin: no h2 and no Fraction is made.  The billiards
+    constant is that of the spin of the unfolding prototype.  D must
+    already be checked as a nonsquare discriminant >= 5.
     """
     split = _spin_applies(D)
     f = _decompose(D)[1] if split else 0
     s0, S = _v_tpass(D, f)
-    n = -3 * S
     if not split:
-        constant = _per_chi(s0, n, 20)
+        constant = s0._times(D, 10, 0, 3 * S)
         return constant, None, constant
     s1 = s0.galois_conjugate()
-    constant = _per_chi(s0 + s1, n, 20)
-    components = (_per_chi(s0, n, 40), _per_chi(s1, n, 40))
+    constant = (s0 + s1)._times(D, 10, 0, 3 * S)
+    components = (s0._times(D, 20, 0, 3 * S), s1._times(D, 20, 0, 3 * S))
     return constant, components, components[_spin(1, *_unfolding(D), 0, f)]
-
-
-def _per_chi(s: QuadNum, n: int, m: int) -> QuadNum:
-    """s / (-2 chi) for chi = n/m < 0 with m > 0, as the product s * m/(-2n)."""
-    return s._times(s.disc, m, 0, -2 * n)
 
 
 def sv_constant(D: int) -> QuadNum:

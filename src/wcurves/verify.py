@@ -208,7 +208,9 @@ def _check_boundary(D: int):
             yield "tau_closed", image in node_ids, n.id
     if _spin_applies(D):
         square = is_square(D)
-        spins = {e.prototype.abcq: [spin(w) for w in e.w_fiber] for e in cx.junctions}
+        # The curves are the nondegenerate junctions, and so are their t
+        # images (t_involution's docstring): the exported spins cover both.
+        spins = {n.prototype.abcq: n.spins for n in cx.curves if n.prototype is not None}
         for e in cx.junctions:
             p = e.prototype
             if p.is_degenerate:

@@ -133,7 +133,7 @@ def test_the_constants_take_no_chi_from_h2():
         elif isinstance(node, ast.alias):
             names.add(node.name)
     assert "_v_tpass" in names, "the guard found no names"
-    assert not names & {"_t_sums", "_h2", "_h2_ints", "_chi_ints"}
+    assert not names & {"_t_sums", "_h2", "_h2_ints", "_chis", "_mobius_ints"}
 
 
 def test_only_exact_reads_the_quadnum_integers():
@@ -181,7 +181,7 @@ def test_a_checked_discriminant_builds_each_euler_table_once(monkeypatch):
     assert not hasattr(siegelveech, "_chis")
     for info in pkgutil.iter_modules(wcurves.__path__):
         module = importlib.import_module(f"wcurves.{info.name}")
-        for name in ("_chi_ints", "_t_sums"):
+        for name in ("_chis", "_h2_ints", "_t_sums"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
     siegelveech._constants(41)

@@ -1,7 +1,13 @@
-"""The package surface is exactly the union of the layer modules' __all__."""
+"""The package surface is exactly the union of the layer modules' __all__.
+
+The README's backticked `module.name` references name live attributes.
+"""
+
+import re
+from pathlib import Path
 
 import wcurves
-from wcurves import boundary, euler, exact, prototypes, siegelveech, verify
+from wcurves import boundary, euler, exact, prototypes, reference, siegelveech, verify
 
 LAYERS = (boundary, euler, exact, prototypes, siegelveech, verify)
 
@@ -52,3 +58,12 @@ def test_hand_kept_names_survive():
     assert set(wcurves.__all__) - HAND_KEPT == {
         "CurveNode", "JunctionEdge", "mobius_weighted_sum", "zeta_minus_one",
     }
+
+
+def test_readme_module_references_resolve():
+    """Every `module.name` the README cites in backticks names a live attribute."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    modules = {m.__name__.removeprefix("wcurves."): m for m in (*LAYERS, reference)}
+    refs = re.findall(rf"`({'|'.join(modules)})\.(\w+)[`(]", readme)
+    assert refs, "the guard found no references"
+    assert [f"{m}.{n}" for m, n in refs if not hasattr(modules[m], n)] == []

@@ -328,13 +328,35 @@ def test_dynamics_applies_each_map_once_per_prototype(monkeypatch, D):
 
 
 @pytest.mark.parametrize("D", [12, 17, 41, 49, 81])
-def test_boundary_spins_each_w_cusp_once(monkeypatch, D):
+def test_boundary_suite_reads_the_spins_of_the_complex(monkeypatch, D):
+    # spin_balance reads CurveNode.spins, the spins `boundary` prints: it
+    # computes no spin and rebuilds no W fiber.
     calls = _counted(monkeypatch, ("spin",))
+    w_fiber = boundary.JunctionEdge.w_fiber.fget
+
+    def counted_fiber(edge):
+        calls["w_fiber"] += 1
+        return w_fiber(edge)
+
+    monkeypatch.setattr(boundary.JunctionEdge, "w_fiber", property(counted_fiber))
     checks = list(verify._check_boundary(D))
     assert all(check[1] for check in checks)
     split = prototypes._spin_applies(D)
     assert any(check[0] == "spin_balance" for check in checks) == split
-    assert calls["spin"] == (len(prototypes.enumerate_prototypes(D, "W")) if split else 0)
+    assert calls == Counter()
+
+
+@pytest.mark.parametrize("D", [17, 41, 89, 25, 81])
+def test_curve_spins_at_q_fail_spin_balance(monkeypatch, D):
+    # build_complex taking every spin of a curve at q, not at q + k g over
+    # its W fiber: the exported spins change, and spin_balance reads them.
+    assert verify_discriminant(D).ok
+    spin = boundary._spin
+    monkeypatch.setattr(
+        boundary, "_spin", lambda a, b, c, q, f: spin(a, b, c, q % math.gcd(a, b, c), f)
+    )
+    r = verify_discriminant(D)
+    assert r.failures and all(text.startswith("spin_balance: ") for text in r.failures)
 
 
 @pytest.mark.parametrize("D", [12, 17, 41, 49, 81])
